@@ -73,7 +73,8 @@ def ingest_estimates(path: str) -> CenterSample:
     non-numeric cells, non-positive standard errors and duplicate ids.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
+        with open(path, encoding="utf-8-sig") as fh:
             lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc

@@ -4,6 +4,10 @@ One frozen pool of centered Gaussian draws backs every quantile evaluation.
 Because all quantiles are order statistics of row-wise maxima taken over the
 *same* rows, the quantile is exactly (not just statistically) monotone in the
 pair set: more pairs can only raise each row's maximum.
+
+The two row-maxima vectors that do not depend on the data, over all pairs and
+over the negative pairs, are computed once per pool and cached on it, so every
+alpha and every method reads its critical value from the same vectors.
 """
 
 from dataclasses import dataclass, field
@@ -35,6 +39,11 @@ class McPool:
     Column i has scale ``sigma[i]``.  The pool is generated once and reused
     for every critical-value evaluation; this sharing is what makes the
     sequential procedure's critical values provably non-increasing.
+
+    The pool also carries a cache of row-maxima vectors, each of length N,
+    filled on first use by :func:`full_row_maxima` and
+    :func:`negative_row_maxima`.  Cached vectors are read-only, so no caller
+    can change the quantiles later drawn from the same pool.
     """
 
     draws: np.ndarray
@@ -42,6 +51,7 @@ class McPool:
     seed: int
     n_samples: int
     _cols: np.ndarray = field(init=False, repr=False, compare=False)
+    _row_maxima: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         draws = np.asarray(self.draws, dtype=float)
@@ -58,6 +68,7 @@ class McPool:
         object.__setattr__(self, "draws", draws)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "_cols", cols)
+        object.__setattr__(self, "_row_maxima", {})
 
     @property
     def n_centers(self) -> int:
@@ -120,21 +131,72 @@ def pair_row_maxima(pool: McPool, i_idx: np.ndarray, j_idx: np.ndarray) -> np.nd
     return out
 
 
+def _fill_row_maxima(pool: McPool) -> None:
+    """Cache both row-maxima vectors from one pass over the unordered pairs.
+
+    For each pair i > j the pass keeps the row-wise max and min of
+    ``d_ij = (Y_i - Y_j) / sqrt(sigma_i^2 + sigma_j^2)``.  IEEE subtraction is
+    exactly antisymmetric and the scale is symmetric, so ``d_ji == -d_ij``:
+    minus the min is the maximum over the negative pairs (i < j), and the
+    larger of the two is the maximum of ``|d_ij|`` over all ordered pairs, bit
+    for bit what a loop over ordered pairs gives.
+    """
+    cols = pool._cols
+    sig2 = pool.sigma ** 2
+    upper = np.full(pool.n_samples, -np.inf)
+    lower = np.full(pool.n_samples, np.inf)
+    diff = np.empty(pool.n_samples)
+    for i, j in zip(*np.tril_indices(pool.n_centers, k=-1)):
+        np.subtract(cols[i], cols[j], out=diff)
+        diff /= np.sqrt(sig2[i] + sig2[j])
+        np.maximum(upper, diff, out=upper)
+        np.minimum(lower, diff, out=lower)
+    negative = np.negative(lower, out=lower)
+    _cache(pool, "negative", negative)
+    if "full" not in pool._row_maxima:
+        _cache(pool, "full", np.maximum(upper, negative, out=upper))
+
+
+def _cache(pool: McPool, key: str, values: np.ndarray) -> None:
+    values.setflags(write=False)
+    pool._row_maxima[key] = values
+
+
+def _check_pairs_exist(pool: McPool) -> None:
+    if pool.n_centers < 2:
+        raise ValueError("need at least 2 centers to form a pair")
+
+
 def full_row_maxima(pool: McPool) -> np.ndarray:
-    """Per-row max over *all* ordered pairs (the studentized-range statistic).
+    """Per-row max over *all* pairs (the studentized-range statistic).
 
     With equal sigmas the maximum reduces to the standardized range
-    (max - min); with unequal sigmas every pair must be visited.
+    (max - min); with unequal sigmas the n(n-1)/2 unordered pairs are visited
+    once, taking ``|Y_i - Y_j| / sqrt(sigma_i^2 + sigma_j^2)``.  The vector is
+    computed once per pool and returned read-only from its cache.
     """
-    n = pool.n_centers
-    if n < 2:
-        raise ValueError("need at least 2 centers to form a pair")
-    sigma = pool.sigma
-    if np.all(sigma == sigma[0]):
-        scale = np.sqrt(sigma[0] ** 2 + sigma[0] ** 2)
-        return (pool.draws.max(axis=1) - pool.draws.min(axis=1)) / scale
-    i_idx, j_idx = PairSet.all_pairs(n).index_arrays()
-    return pair_row_maxima(pool, i_idx, j_idx)
+    _check_pairs_exist(pool)
+    if "full" not in pool._row_maxima:
+        sigma = pool.sigma
+        if np.all(sigma == sigma[0]):
+            scale = np.sqrt(sigma[0] ** 2 + sigma[0] ** 2)
+            _cache(pool, "full", (pool.draws.max(axis=1) - pool.draws.min(axis=1)) / scale)
+        else:
+            _fill_row_maxima(pool)
+    return pool._row_maxima["full"]
+
+
+def negative_row_maxima(pool: McPool) -> np.ndarray:
+    """Per-row max of (Y_i - Y_j) / sqrt(sigma_i^2 + sigma_j^2) over pairs i < j.
+
+    These are the negative pairs of a sorted sample, which the sequential
+    procedure keeps in every round.  The vector is computed once per pool and
+    returned read-only from its cache.
+    """
+    _check_pairs_exist(pool)
+    if "negative" not in pool._row_maxima:
+        _fill_row_maxima(pool)
+    return pool._row_maxima["negative"]
 
 
 def studentized_range_quantile(pool: McPool, alpha: float) -> float:
@@ -142,7 +204,9 @@ def studentized_range_quantile(pool: McPool, alpha: float) -> float:
 
     The statistic per pool row is
     ``max over i != j of |Y_i - Y_j| / sqrt(sigma_i^2 + sigma_j^2)``,
-    equal to the restricted maximum over the full ordered-pair set.
+    equal to the restricted maximum over the full ordered-pair set.  It is
+    read from the pool's cached :func:`full_row_maxima`, so further calls on
+    the same pool, at any alpha, only select an order statistic.
     """
     return empirical_quantile(full_row_maxima(pool), alpha)
 

@@ -17,6 +17,7 @@ from .core import CenterSample, PairSet, RankInterval, SimultaneousRankCIs
 from .mcquantile import (
     McPool,
     empirical_quantile,
+    negative_row_maxima,
     pair_row_maxima,
     studentized_range_quantile,
 )
@@ -104,7 +105,6 @@ def sequential_tukey(sample: CenterSample, alpha: float, pool: McPool
     active = np.ones(pos_i.size, dtype=bool)
 
     q = studentized_range_quantile(pool, alpha)
-    neg_max = None  # row maxima over negative pairs; fixed across rounds
     rejected: set[tuple[int, int]] = set()
     steps: list[SeqStep] = []
 
@@ -118,11 +118,11 @@ def sequential_tukey(sample: CenterSample, alpha: float, pool: McPool
         active &= ~newly_mask
         if not active.any():
             break
-        if neg_max is None:
-            neg_i, neg_j = PairSet.negative_pairs(n).index_arrays()
-            neg_max = pair_row_maxima(pool, neg_i, neg_j)
-        pos_max = pair_row_maxima(pool, pos_i[active], pos_j[active])
-        q = empirical_quantile(np.maximum(neg_max, pos_max), alpha)
+        # the negative pairs stay in every round; their row maxima are
+        # cached on the pool, shared across rounds and across alphas
+        row_max = pair_row_maxima(pool, pos_i[active], pos_j[active])
+        np.maximum(row_max, negative_row_maxima(pool), out=row_max)
+        q = empirical_quantile(row_max, alpha)
 
     intervals = rank_bounds_from_rejections(PairSet(frozenset(rejected)), n)
     cis = SimultaneousRankCIs(tuple(intervals), alpha, "seqtukey", iterations=len(steps))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -64,6 +65,16 @@ class TestIngest:
         path.write_text("id,estimate,std_error\na,1.0,1.0\na,2.0,1.0\n")
         with pytest.raises(IngestError, match="duplicate"):
             ingest_estimates(str(path))
+
+    def test_utf8_bom_header(self, tmp_path, capsys):
+        # spreadsheet exports prepend a byte-order mark to the first column name
+        path = tmp_path / "excel.csv"
+        path.write_bytes("id,estimate,std_error\nlow,0.0,1.0\nhigh,10.0,1.0\n".encode("utf-8-sig"))
+        assert ingest_estimates(str(path)).ids == ("low", "high")
+        rc = main(["rank", "--input", str(path), "--method", "tukey",
+                   "--mc-samples", "5000", "--seed", "7"])
+        assert rc == 0
+        assert "low" in capsys.readouterr().out
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError):
@@ -211,3 +222,33 @@ class TestCmdSimulate:
         assert main(args + ["--out-file", str(a)]) == 0
         assert main(args + ["--out-file", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestGoldenBytes:
+    """Output digests recorded before the row-maxima cache; any change to result bits fails here."""
+
+    RANK_SHA256 = "1a8c72ea11a70190780d66e05cfdd9c9fba3e1c84a087e0edd3d9f1a2dc02b77"
+    SIMULATE_SHA256 = "91af6b0850adebdf71f42e2d5a270f2005f7235e632df0b2028e678461df21d4"
+
+    @staticmethod
+    def _sha256(path) -> str:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_rank_all_json(self, tmp_path, monkeypatch, capsys):
+        # unequal standard errors, so the full-range pair kernel is exercised;
+        # relative paths keep the manifest's input field independent of tmp_path
+        monkeypatch.chdir(tmp_path)
+        rows = [f"c{i:02d},{0.6 * i + 0.25 * (i % 3):.3f},{0.5 + 0.08 * i:.2f}" for i in range(12)]
+        (tmp_path / "centers12.csv").write_text("id,estimate,std_error\n" + "\n".join(rows) + "\n")
+        rc = main(["rank", "--input", "centers12.csv", "--method", "all",
+                   "--mc-samples", "2000", "--boot-samples", "500", "--seed", "7",
+                   "--out", "json", "--out-file", "rank.json"])
+        assert rc == 0
+        assert self._sha256(tmp_path / "rank.json") == self.RANK_SHA256
+
+    def test_simulate_paper2_json(self, tmp_path, capsys):
+        out_file = tmp_path / "sim.json"
+        rc = main(["simulate", "--scenario", "paper2", "--reps", "3",
+                   "--out", "json", "--out-file", str(out_file)])
+        assert rc == 0
+        assert self._sha256(out_file) == self.SIMULATE_SHA256

@@ -4,7 +4,9 @@ import pytest
 from rankci.core import PairSet
 from rankci.mcquantile import (
     MC_SAMPLES_FLOOR,
+    full_row_maxima,
     make_mc_pool,
+    negative_row_maxima,
     restricted_max_quantile,
     studentized_range_quantile,
 )
@@ -130,3 +132,55 @@ class TestRestrictedMaxQuantile:
         pool = make_mc_pool([1.0, 1.0], 1000, seed=0)
         with pytest.raises(ValueError):
             restricted_max_quantile(pool, PairSet(frozenset({(0, 2)})), 0.05)
+
+
+def _ordered_pair_row_maxima(pool, keep):
+    """Row maxima of (Y_i - Y_j) / sqrt(sigma_i^2 + sigma_j^2), one ordered pair at a time."""
+    cols = pool.draws.T
+    sig2 = pool.sigma ** 2
+    out = np.full(pool.n_samples, -np.inf)
+    for i in range(pool.n_centers):
+        for j in range(pool.n_centers):
+            if i != j and keep(i, j):
+                out = np.maximum(out, (cols[i] - cols[j]) / np.sqrt(sig2[i] + sig2[j]))
+    return out
+
+
+class TestRowMaximaCache:
+    SIGMAS = {
+        "unequal": np.random.default_rng(50).uniform(0.5, 1.5, 50),
+        "equal": np.full(50, 1.2),
+    }
+
+    @pytest.mark.parametrize("negative_first", [False, True])
+    @pytest.mark.parametrize("sigma", sorted(SIGMAS))
+    def test_bit_identical_to_ordered_pair_loop(self, sigma, negative_first):
+        pool = make_mc_pool(self.SIGMAS[sigma], 2_000, seed=17)
+        if negative_first:
+            negative = negative_row_maxima(pool)
+            full = full_row_maxima(pool)
+        else:
+            full = full_row_maxima(pool)
+            negative = negative_row_maxima(pool)
+        assert full.tobytes() == _ordered_pair_row_maxima(pool, lambda i, j: True).tobytes()
+        assert negative.tobytes() == _ordered_pair_row_maxima(pool, lambda i, j: i < j).tobytes()
+
+    @pytest.mark.parametrize("sigma", sorted(SIGMAS))
+    def test_computed_once_per_pool(self, sigma):
+        pool = make_mc_pool(self.SIGMAS[sigma][:6], 1_000, seed=3)
+        assert full_row_maxima(pool) is full_row_maxima(pool)
+        assert negative_row_maxima(pool) is negative_row_maxima(pool)
+
+    @pytest.mark.parametrize("sigma", sorted(SIGMAS))
+    def test_cached_vectors_read_only(self, sigma):
+        pool = make_mc_pool(self.SIGMAS[sigma][:6], 1_000, seed=3)
+        q = studentized_range_quantile(pool, 0.05)
+        for values in (full_row_maxima(pool), negative_row_maxima(pool)):
+            with pytest.raises(ValueError):
+                values[0] = np.inf
+        assert studentized_range_quantile(pool, 0.05) == q
+
+    def test_single_center_rejected(self):
+        pool = make_mc_pool([1.0], 1000, seed=0)
+        with pytest.raises(ValueError):
+            negative_row_maxima(pool)
