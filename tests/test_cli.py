@@ -1,9 +1,14 @@
 import hashlib
 import json
+import re
 
 import pytest
 
 from rankci.cli import IngestError, ingest_estimates, main
+from rankci.core import CenterSample
+from rankci.mcquantile import make_mc_pool, studentized_range_quantile
+from rankci.seqtukey import sequential_tukey
+from rankci.simharness import _child_seed
 
 
 @pytest.fixture
@@ -224,31 +229,98 @@ class TestCmdSimulate:
         assert a.read_bytes() == b.read_bytes()
 
 
+# n=12 with unequal standard errors, so the full-range pair kernel is exercised
+GOLDEN_ROWS = [(f"c{i:02d}", round(0.6 * i + 0.25 * (i % 3), 3), round(0.5 + 0.08 * i, 2))
+               for i in range(12)]
+GOLDEN_RANK_ARGS = ["rank", "--input", "centers12.csv", "--method", "all",
+                    "--mc-samples", "2000", "--boot-samples", "500", "--seed", "7"]
+GOLDEN_SIMULATE_ARGS = ["simulate", "--scenario", "paper2", "--reps", "3"]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _masked_stdout(capsys) -> bytes:
+    # the run timestamp is the one part of stdout that differs between reruns
+    return re.sub(r"run at \S+", "run at -", capsys.readouterr().out).encode()
+
+
+@pytest.fixture
+def golden_dir(tmp_path, monkeypatch):
+    # relative paths keep the manifest's input field independent of tmp_path
+    monkeypatch.chdir(tmp_path)
+    lines = [f"{ident},{est:.3f},{se:.2f}" for ident, est, se in GOLDEN_ROWS]
+    (tmp_path / "centers12.csv").write_text("id,estimate,std_error\n" + "\n".join(lines) + "\n")
+    return tmp_path
+
+
 class TestGoldenBytes:
-    """Output digests recorded before the row-maxima cache; any change to result bits fails here."""
+    """Output digests recorded at a known-good commit; any change to output bytes fails here."""
 
     RANK_SHA256 = "1a8c72ea11a70190780d66e05cfdd9c9fba3e1c84a087e0edd3d9f1a2dc02b77"
+    RANK_TSV_SHA256 = "d5eeac4bcdefc48b145fca8048dae98b5c402ae77abd3e46cd5a13d12a19da78"
+    RANK_PLOT_SHA256 = "6d51fa174d7f784bed53be72cbf44630fb6053f4df4ecc40cca28eeb267c3de9"
+    RANK_TABLE_SHA256 = "55457788d0027d34b64d6878e80e68b6180ef492c59148098ac135dd06b002e8"
     SIMULATE_SHA256 = "91af6b0850adebdf71f42e2d5a270f2005f7235e632df0b2028e678461df21d4"
+    SIMULATE_TSV_SHA256 = "fd4152d690e86aa20bebb53f87449705ce310cbe3abfd6ed3eac74ab52bf1546"
+    SIMULATE_TABLE_SHA256 = "533babca78f9c51a8dfd2449a4865d32d5dc8025cb734bcb031c7128cb65d8b6"
 
-    @staticmethod
-    def _sha256(path) -> str:
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-
-    def test_rank_all_json(self, tmp_path, monkeypatch, capsys):
-        # unequal standard errors, so the full-range pair kernel is exercised;
-        # relative paths keep the manifest's input field independent of tmp_path
-        monkeypatch.chdir(tmp_path)
-        rows = [f"c{i:02d},{0.6 * i + 0.25 * (i % 3):.3f},{0.5 + 0.08 * i:.2f}" for i in range(12)]
-        (tmp_path / "centers12.csv").write_text("id,estimate,std_error\n" + "\n".join(rows) + "\n")
-        rc = main(["rank", "--input", "centers12.csv", "--method", "all",
-                   "--mc-samples", "2000", "--boot-samples", "500", "--seed", "7",
-                   "--out", "json", "--out-file", "rank.json"])
+    def test_rank_all_json(self, golden_dir, capsys):
+        rc = main(GOLDEN_RANK_ARGS + ["--out", "json", "--out-file", "rank.json"])
         assert rc == 0
-        assert self._sha256(tmp_path / "rank.json") == self.RANK_SHA256
+        assert _sha256((golden_dir / "rank.json").read_bytes()) == self.RANK_SHA256
+
+    def test_rank_all_tsv_plot_data_and_table(self, golden_dir, capsys):
+        rc = main(GOLDEN_RANK_ARGS + ["--out", "tsv", "--out-file", "rank.tsv",
+                                      "--plot-data", "plot.tsv", "--trace"])
+        assert rc == 0
+        assert _sha256(_masked_stdout(capsys)) == self.RANK_TABLE_SHA256
+        assert _sha256((golden_dir / "rank.tsv").read_bytes()) == self.RANK_TSV_SHA256
+        assert _sha256((golden_dir / "plot.tsv").read_bytes()) == self.RANK_PLOT_SHA256
 
     def test_simulate_paper2_json(self, tmp_path, capsys):
         out_file = tmp_path / "sim.json"
-        rc = main(["simulate", "--scenario", "paper2", "--reps", "3",
-                   "--out", "json", "--out-file", str(out_file)])
+        rc = main(GOLDEN_SIMULATE_ARGS + ["--out", "json", "--out-file", str(out_file)])
         assert rc == 0
-        assert self._sha256(out_file) == self.SIMULATE_SHA256
+        assert _sha256(out_file.read_bytes()) == self.SIMULATE_SHA256
+
+    def test_simulate_paper2_tsv_and_table(self, tmp_path, capsys):
+        out_file = tmp_path / "sim.tsv"
+        rc = main(GOLDEN_SIMULATE_ARGS + ["--out", "tsv", "--out-file", str(out_file)])
+        assert rc == 0
+        assert _sha256(_masked_stdout(capsys)) == self.SIMULATE_TABLE_SHA256
+        assert _sha256(out_file.read_bytes()) == self.SIMULATE_TSV_SHA256
+
+
+class TestCriticalValueBits:
+    """Critical values as exact float bits; the golden outputs print no critical value."""
+
+    POOL_SEED = _child_seed(7, 2)  # the pool seed `rank --seed 7` uses
+
+    @pytest.fixture(scope="class")
+    def golden_pool(self):
+        ids, y, sigma = zip(*GOLDEN_ROWS)
+        sample = CenterSample.from_observations(y, sigma, ids=ids)
+        return sample, make_mc_pool(sample.sigma, 2000, seed=self.POOL_SEED)
+
+    @pytest.mark.parametrize("alpha, expected", [
+        (0.05, "0x1.a175fae46ef21p+1"),
+        (0.5, "0x1.1d48cedce12ddp+1"),
+    ])
+    def test_full_range_quantile(self, golden_pool, alpha, expected):
+        _, pool = golden_pool
+        assert studentized_range_quantile(pool, alpha).hex() == expected
+
+    @pytest.mark.parametrize("alpha, expected", [
+        (0.05, ["0x1.a175fae46ef21p+1", "0x1.9f804775ea325p+1"]),
+        (0.5, ["0x1.1d48cedce12ddp+1", "0x1.18ff1d1e807f9p+1", "0x1.18e8e23cb2178p+1"]),
+    ])
+    def test_sequential_critical_values(self, golden_pool, alpha, expected):
+        sample, pool = golden_pool
+        _, trace = sequential_tukey(sample, alpha, pool)
+        assert [q.hex() for q in trace.critical_values] == expected
+
+    def test_equal_sigma_full_range_quantile(self):
+        pool = make_mc_pool([1.0] * 10, 2000, seed=self.POOL_SEED)
+        assert studentized_range_quantile(pool, 0.05).hex() == "0x1.8fb706a607a80p+1"
