@@ -40,7 +40,6 @@ from .simharness import (
     ScenarioConfig,
     comparison_scenario,
     preset_scenario,
-    run_comparison,
     run_coverage,
 )
 from .tukey import (
@@ -79,7 +78,6 @@ __all__ = [
     "rankability_estimate",
     "rankability_true",
     "restricted_max_quantile",
-    "run_comparison",
     "run_coverage",
     "sequential_tukey",
     "spiegelhalter_pointwise",

@@ -8,6 +8,7 @@ flags and seed reproduces the bytes exactly.
 """
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
@@ -57,41 +58,48 @@ class RunManifest:
     def create(cls, **kwargs) -> "RunManifest":
         return cls(timestamp=datetime.now(timezone.utc).isoformat(), **kwargs)
 
-    def as_dict(self, with_timestamp: bool = False) -> dict:
+    def as_dict(self) -> dict:
+        """Every field but the timestamp, which only the human table shows.
+
+        A rerun with identical flags and seed then reproduces every output
+        file byte for byte.
+        """
         d = dataclasses.asdict(self)
-        if not with_timestamp:
-            # deterministic outputs: a rerun with identical flags and seed
-            # must reproduce the file byte for byte
-            del d["timestamp"]
+        del d["timestamp"]
         return d
 
 
 def ingest_estimates(path: str) -> CenterSample:
     """Read and validate an estimates file into a sorted CenterSample.
 
-    Raises :class:`IngestError` naming the offending data row for
-    non-numeric cells, non-positive standard errors and duplicate ids.
+    Cells follow CSV quoting, so a quoted id may hold the delimiter.  Raises
+    :class:`IngestError` naming the offending data row for non-numeric cells,
+    non-positive standard errors and duplicate ids.
     """
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
+    first = next((ln for ln in lines if ln.strip()), "")
+    try:
+        rows = [[cell.strip() for cell in row]
+                for row in csv.reader(lines, delimiter="\t" if "\t" in first else ",")]
+    except csv.Error as exc:
+        raise IngestError(f"{path}: {exc}") from None
+    rows = [row for row in rows if any(row)]
+    if not rows:
         raise IngestError(f"{path}: file is empty")
-    delimiter = "\t" if "\t" in lines[0] else ","
-    header = [cell.strip() for cell in lines[0].split(delimiter)]
+    header, *rows = rows
     positions = {}
     for col in _REQUIRED_COLUMNS:
         if col not in header:
             raise IngestError(f"{path}: missing required column {col!r}")
         positions[col] = header.index(col)
 
-    ids, estimates, errors = [], [], []
-    for row_no, line in enumerate(lines[1:], start=1):
-        cells = [cell.strip() for cell in line.split(delimiter)]
+    ids, estimates, errors, seen = [], [], [], set()
+    for row_no, cells in enumerate(rows, start=1):
         if len(cells) < len(header):
             raise IngestError(f"{path}: row {row_no}: expected {len(header)} columns")
         ident = cells[positions["id"]]
@@ -104,8 +112,9 @@ def ingest_estimates(path: str) -> CenterSample:
             raise IngestError(f"{path}: row {row_no}: non-finite value")
         if se <= 0:
             raise IngestError(f"{path}: row {row_no}: std_error must be positive")
-        if ident in ids:
+        if ident in seen:
             raise IngestError(f"{path}: row {row_no}: duplicate id {ident!r}")
+        seen.add(ident)
         ids.append(ident)
         estimates.append(est)
         errors.append(se)
@@ -152,22 +161,33 @@ def _fmt(value: float) -> str:
     return format(float(value), ".10g")
 
 
-def _print_rank_table(sample: CenterSample, results, manifest: RunManifest) -> None:
-    ranks = sample.to_input_order(range(1, sample.n + 1))
+def _rank_rows(sample: CenterSample, results):
+    """The one output model of ``rank``, built once per run in input order.
+
+    ``centers`` holds one ``{"id", "estimate", "std_error", "rank"}`` dict per
+    center, where rank is the sorted position + 1; ``bounds[method]`` holds
+    the matching ``(lower, upper)`` pairs.
+    """
+    centers = sample.to_input_order(
+        {"id": str(ident), "estimate": float(est), "std_error": float(se), "rank": k + 1}
+        for k, (ident, est, se) in enumerate(zip(sample.ids, sample.y, sample.sigma))
+    )
+    bounds = {
+        method: sample.to_input_order((ci.lower, ci.upper) for ci in entry["cis"].intervals)
+        for method, entry in results.items()
+    }
+    return centers, bounds
+
+
+def _print_rank_table(manifest: RunManifest, results, centers, bounds) -> None:
     print(f"# {manifest.input}  alpha={manifest.alpha:g}  seed={manifest.seed}  "
           f"run at {manifest.timestamp}")
     for method, entry in results.items():
-        cis = entry["cis"]
-        lowers = sample.to_input_order([ci.lower for ci in cis.intervals])
-        uppers = sample.to_input_order([ci.upper for ci in cis.intervals])
-        ids_in = sample.to_input_order(sample.ids)
-        y_in = sample.to_input_order(sample.y)
-        se_in = sample.to_input_order(sample.sigma)
         print(f"\nmethod: {method}")
         print(f"{'id':<12} {'estimate':>12} {'std_error':>10} {'rank':>5} {'L':>4} {'U':>4}")
-        for i in range(sample.n):
-            print(f"{str(ids_in[i]):<12} {y_in[i]:>12.6g} {se_in[i]:>10.6g} "
-                  f"{ranks[i]:>5} {lowers[i]:>4} {uppers[i]:>4}")
+        for row, (lower, upper) in zip(centers, bounds[method]):
+            print(f"{row['id']:<12} {row['estimate']:>12.6g} {row['std_error']:>10.6g} "
+                  f"{row['rank']:>5} {lower:>4} {upper:>4}")
         if "rankability" in entry:
             est = entry["rankability"]
             print(f"rankability: {est.value:.4f}, {100 * (1 - est.alpha):g}% CI "
@@ -188,25 +208,13 @@ def _print_trace(results) -> None:
               f"total {len(step.rejected_total)}")
 
 
-def _rank_results_dict(sample: CenterSample, results, manifest: RunManifest) -> dict:
-    ranks = sample.to_input_order(range(1, sample.n + 1))
-    ids_in = sample.to_input_order(sample.ids)
-    y_in = sample.to_input_order(sample.y)
-    se_in = sample.to_input_order(sample.sigma)
-    centers = [
-        {"id": str(ids_in[i]), "estimate": float(y_in[i]),
-         "std_error": float(se_in[i]), "rank": int(ranks[i])}
-        for i in range(sample.n)
-    ]
-    methods = {}
+def _results_blocks(results, centers, bounds) -> dict:
+    blocks = {}
     for method, entry in results.items():
-        cis = entry["cis"]
-        lowers = sample.to_input_order([ci.lower for ci in cis.intervals])
-        uppers = sample.to_input_order([ci.upper for ci in cis.intervals])
         block = {
             "intervals": [
-                {"id": str(ids_in[i]), "lower": int(lowers[i]), "upper": int(uppers[i])}
-                for i in range(sample.n)
+                {"id": row["id"], "lower": int(lower), "upper": int(upper)}
+                for row, (lower, upper) in zip(centers, bounds[method])
             ],
         }
         if "rankability" in entry:
@@ -220,53 +228,32 @@ def _rank_results_dict(sample: CenterSample, results, manifest: RunManifest) -> 
         for key in ("iterations", "achieved_coverage", "beta_final", "converged"):
             if key in entry:
                 block[key] = entry[key]
-        methods[method] = block
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "manifest": manifest.as_dict(),
-        "centers": centers,
-        "results": methods,
-    }
+        blocks[method] = block
+    return blocks
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _center_cells(row) -> str:
+    return f"{row['id']}\t{_fmt(row['estimate'])}\t{_fmt(row['std_error'])}"
 
 
-def _write_rank_tsv(path: str, sample: CenterSample, results, manifest: RunManifest) -> None:
-    ranks = sample.to_input_order(range(1, sample.n + 1))
-    ids_in = sample.to_input_order(sample.ids)
-    y_in = sample.to_input_order(sample.y)
-    se_in = sample.to_input_order(sample.sigma)
-    lines = [f"# {k}\t{v}" for k, v in sorted(manifest.as_dict().items())]
-    lines.append("id\testimate\tstd_error\trank\tmethod\tlower\tupper")
-    for method, entry in results.items():
-        cis = entry["cis"]
-        lowers = sample.to_input_order([ci.lower for ci in cis.intervals])
-        uppers = sample.to_input_order([ci.upper for ci in cis.intervals])
-        for i in range(sample.n):
-            lines.append(
-                f"{ids_in[i]}\t{_fmt(y_in[i])}\t{_fmt(se_in[i])}\t{ranks[i]}"
-                f"\t{method}\t{lowers[i]}\t{uppers[i]}"
-            )
+def _write_lines(path: str, lines) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_plot_data(path: str, sample: CenterSample, results) -> None:
-    """Band-chart-ready table, one row per center per method, sorted order."""
-    lines = ["position\tid\testimate\tstd_error\tmethod\tlower\tupper"]
-    for method, entry in results.items():
-        cis = entry["cis"]
-        for k in range(sample.n):
-            lines.append(
-                f"{k + 1}\t{sample.ids[k]}\t{_fmt(sample.y[k])}\t{_fmt(sample.sigma[k])}"
-                f"\t{method}\t{cis.intervals[k].lower}\t{cis.intervals[k].upper}"
-            )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _emit(args, manifest: RunManifest, body: dict, tsv_header: str, tsv_rows) -> None:
+    """Write the ``--out json|tsv`` file: the manifest envelope around ``body``.
+
+    JSON gets ``schema_version``, ``manifest`` and the keys of ``body``; TSV
+    gets one ``# key<TAB>value`` line per manifest field, then the header and
+    rows.  Nothing is written for ``--out table``.
+    """
+    if args.out == "json":
+        payload = {"schema_version": SCHEMA_VERSION, "manifest": manifest.as_dict(), **body}
+        _write_lines(args.out_file, [json.dumps(payload, sort_keys=True, indent=2)])
+    elif args.out == "tsv":
+        meta = [f"# {k}\t{v}" for k, v in sorted(manifest.as_dict().items())]
+        _write_lines(args.out_file, meta + [tsv_header] + list(tsv_rows))
 
 
 def cmd_rank(args) -> int:
@@ -279,18 +266,24 @@ def cmd_rank(args) -> int:
     )
     results = _run_methods(sample, methods, args.alpha,
                            args.mc_samples, args.boot_samples, args.seed)
-    _print_rank_table(sample, results, manifest)
+    centers, bounds = _rank_rows(sample, results)
+    _print_rank_table(manifest, results, centers, bounds)
     if args.trace:
         _print_trace(results)
-    if args.out != "table":
-        if not args.out_file:
-            raise IngestError("--out-file is required with --out json/tsv")
-        if args.out == "json":
-            _write_json(args.out_file, _rank_results_dict(sample, results, manifest))
-        else:
-            _write_rank_tsv(args.out_file, sample, results, manifest)
+    _emit(args, manifest,
+          {"centers": centers, "results": _results_blocks(results, centers, bounds)},
+          "id\testimate\tstd_error\trank\tmethod\tlower\tupper",
+          (f"{_center_cells(row)}\t{row['rank']}\t{method}\t{lower}\t{upper}"
+           for method, pairs in bounds.items()
+           for row, (lower, upper) in zip(centers, pairs)))
     if args.plot_data:
-        _write_plot_data(args.plot_data, sample, results)
+        # band-chart-ready: one row per center per method, in rank order
+        by_rank = sorted(range(sample.n), key=lambda i: centers[i]["rank"])
+        _write_lines(args.plot_data,
+                     ["position\tid\testimate\tstd_error\tmethod\tlower\tupper"]
+                     + [f"{centers[i]['rank']}\t{_center_cells(centers[i])}\t{method}"
+                        f"\t{pairs[i][0]}\t{pairs[i][1]}"
+                        for method, pairs in bounds.items() for i in by_rank])
     return 0
 
 
@@ -341,29 +334,12 @@ def cmd_simulate(args) -> int:
     report = run_coverage(cfg)
     print(f"# run at {manifest.timestamp}")
     print(report.format_table())
-    if args.out != "table":
-        if not args.out_file:
-            raise IngestError("--out-file is required with --out json/tsv")
-        if args.out == "json":
-            payload = {
-                "schema_version": SCHEMA_VERSION,
-                "manifest": manifest.as_dict(),
-                "report": report.as_dict(),
-            }
-            _write_json(args.out_file, payload)
-        else:
-            lines = [f"# {k}\t{v}" for k, v in sorted(manifest.as_dict().items())]
-            lines.append("method\treps\tcoverage_rate\tindex_coverage_rate"
-                         "\tmean_width\tmean_rankability")
-            for m, stats in report.methods.items():
-                s = stats.summary()
-                lines.append(
-                    f"{m}\t{s['reps']}\t{_fmt(s['coverage_rate'])}"
-                    f"\t{_fmt(s['index_coverage_rate'])}\t{_fmt(s['mean_width'])}"
-                    f"\t{_fmt(s['mean_rankability'])}"
-                )
-            with open(args.out_file, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
+    summaries = [stats.summary() for stats in report.methods.values()]
+    _emit(args, manifest, {"report": report.as_dict()},
+          "method\treps\tcoverage_rate\tindex_coverage_rate\tmean_width\tmean_rankability",
+          (f"{s['method']}\t{s['reps']}\t{_fmt(s['coverage_rate'])}"
+           f"\t{_fmt(s['index_coverage_rate'])}\t{_fmt(s['mean_width'])}"
+           f"\t{_fmt(s['mean_rankability'])}" for s in summaries))
     return 0
 
 
@@ -407,6 +383,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # checked before any work, so a missing path costs no run
+        if args.out != "table" and not args.out_file:
+            raise IngestError("--out-file is required with --out json/tsv")
         return args.func(args)
     except (IngestError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,7 +30,6 @@ __all__ = [
     "MethodStats",
     "CoverageReport",
     "run_coverage",
-    "run_comparison",
     "preset_scenario",
     "comparison_scenario",
     "PRESET_CENTERS",
@@ -180,13 +179,12 @@ class CoverageReport:
             f"{'method':<10} {'coverage%':>10} {'index-cov%':>11} "
             f"{'mean width':>11} {'rankability':>12} {'fwer%':>7}"
         )
-        for stats in self.methods.values():
-            fwer = "-" if stats.fwer_rate is None else f"{100 * stats.fwer_rate:.1f}"
+        for s in (stats.summary() for stats in self.methods.values()):
+            fwer = "-" if s["fwer_rate"] is None else f"{100 * s['fwer_rate']:.1f}"
             lines.append(
-                f"{stats.method:<10} {100 * stats.coverage_rate:>10.1f} "
-                f"{100 * stats.index_coverage_rate:>11.1f} "
-                f"{float(np.nanmean(stats.mean_width)):>11.3f} "
-                f"{float(np.nanmean(stats.rankability)):>12.3f} {fwer:>7}"
+                f"{s['method']:<10} {100 * s['coverage_rate']:>10.1f} "
+                f"{100 * s['index_coverage_rate']:>11.1f} "
+                f"{s['mean_width']:>11.3f} {s['mean_rankability']:>12.3f} {fwer:>7}"
             )
         if self.nestedness_violations is not None:
             lines.append(f"nestedness violations: {self.nestedness_violations}")
@@ -307,23 +305,6 @@ def run_coverage(cfg: ScenarioConfig) -> CoverageReport:
             mean_width=rec["mean_width"],
             rankability=rec["rankability"],
             false_rejection=rec["false_rejection"],
-        )
-    return report
-
-
-def run_comparison(cfg: ScenarioConfig) -> CoverageReport:
-    """Coverage run focused on method comparison.
-
-    Requires both tukey and seqtukey so the rankability of the two methods
-    and their nesting can be compared replicate by replicate; any nesting
-    violation is a bug and raises.
-    """
-    if not {"tukey", "seqtukey"} <= set(cfg.methods):
-        raise ValueError("run_comparison requires both 'tukey' and 'seqtukey'")
-    report = run_coverage(cfg)
-    if report.nestedness_violations:
-        raise RuntimeError(
-            f"{report.nestedness_violations} replicates broke seqtukey-in-tukey nesting"
         )
     return report
 

@@ -81,6 +81,21 @@ class TestIngest:
         assert rc == 0
         assert "low" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name, text", [
+        ("quoted.csv", 'id,estimate,std_error\n"x, inc",1.0,0.5\ny,2.0,0.5\n'),
+        ("quoted.tsv", 'id\testimate\tstd_error\n"x, inc"\t1.0\t0.5\ny\t2.0\t0.5\n'),
+    ], ids=["csv", "tsv"])
+    def test_quoted_id_with_comma(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        assert ingest_estimates(str(path)).ids == ("x, inc", "y")
+        out_file = tmp_path / "res.json"
+        rc = main(["rank", "--input", str(path), "--method", "tukey", "--mc-samples", "2000",
+                   "--out", "json", "--out-file", str(out_file)])
+        assert rc == 0
+        centers = json.loads(out_file.read_text())["centers"]
+        assert [c["id"] for c in centers] == ["x, inc", "y"]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError):
             ingest_estimates(str(tmp_path / "nope.csv"))
@@ -173,6 +188,25 @@ class TestCmdRank:
                    "--mc-samples", "5000"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--input", "unread.csv", "--method", "all", "--out", "json"],
+        ["rank", "--input", "unread.csv", "--out", "tsv"],
+        ["simulate", "--scenario", "paper2", "--out", "json"],
+        ["simulate", "--scenario", "paper2", "--out", "tsv"],
+    ], ids=["rank-json", "rank-tsv", "simulate-json", "simulate-tsv"])
+    def test_missing_out_file_fails_before_any_work(self, argv, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started before --out-file was checked")
+
+        monkeypatch.setattr("rankci.cli.ingest_estimates", no_work)
+        monkeypatch.setattr("rankci.cli._run_methods", no_work)
+        monkeypatch.setattr("rankci.cli.run_coverage", no_work)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_bad_input_exits_nonzero_with_one_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

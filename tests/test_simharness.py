@@ -7,7 +7,6 @@ from rankci.simharness import (
     ScenarioConfig,
     comparison_scenario,
     preset_scenario,
-    run_comparison,
     run_coverage,
 )
 
@@ -147,14 +146,9 @@ class TestRunCoverage:
 
 
 class TestRunComparison:
-    def test_requires_both_methods(self):
-        cfg = quick_scenario([0.0, 1.0], methods=("tukey",))
-        with pytest.raises(ValueError):
-            run_comparison(cfg)
-
     def test_small_comparison(self):
         cfg = comparison_scenario(8, reps=5, mc_samples=2_000, seed=3)
-        report = run_comparison(cfg)
+        report = run_coverage(cfg)
         r_seq = report.methods["seqtukey"].rankability
         r_tuk = report.methods["tukey"].rankability
         assert np.all(r_seq >= r_tuk - 1e-12)
