@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,14 @@ class TestMakeMcPool:
         pool = make_mc_pool([1.0], 1000, seed=0)
         with pytest.raises(ValueError):
             pool.draws[0, 0] = 1.0
+
+    def test_draws_bytes_pinned(self):
+        # the row-major bytes of the pool: PCG64 stream order, per-column
+        # scale, and a row count that fills no whole number of chunks
+        sigma = np.random.default_rng(8).uniform(0.5, 1.5, 7)
+        pool = make_mc_pool(sigma, 20_001, seed=29)
+        assert hashlib.sha256(pool.draws.tobytes()).hexdigest() == (
+            "85937b838e9cfe2d89e5dab42569af517131c4ba9f1ddadae9a73b076d147c6d")
 
 
 class TestStudentizedRangeQuantile:
