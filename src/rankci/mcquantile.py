@@ -8,8 +8,17 @@ pair set: more pairs can only raise each row's maximum.
 The two row-maxima vectors that do not depend on the data, over all pairs and
 over the negative pairs, are computed once per pool and cached on it, so every
 alpha and every method reads its critical value from the same vectors.
+
+The pool is one column-major buffer, so every pairwise operation reads two
+contiguous columns.  The row-maxima kernels split the pool rows into
+contiguous spans, one per usable core, and run each span in its own thread
+(numpy releases the GIL inside its loops).  Every row still takes its max
+over the same pairs in the same order, so no result depends on the number of
+cores.
 """
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +40,12 @@ DEFAULT_MC_SAMPLES = 100_000
 #: Hard floor below which quantile estimates are too noisy to trust.
 MC_SAMPLES_FLOOR = 1_000
 
+#: Pool rows drawn from the generator at a time while the pool is filled.
+_DRAW_CHUNK_ROWS = 4096
+
+#: Fewest pool rows a row-maxima thread is given; smaller pools run in one span.
+_MIN_SPAN_ROWS = 25_000
+
 
 @dataclass(frozen=True)
 class McPool:
@@ -39,6 +54,10 @@ class McPool:
     Column i has scale ``sigma[i]``.  The pool is generated once and reused
     for every critical-value evaluation; this sharing is what makes the
     sequential procedure's critical values provably non-increasing.
+
+    The draws are stored once: ``_cols`` is the C-contiguous n x N buffer,
+    one row per center, and ``draws`` is its transpose, a view.  Both are
+    read-only.
 
     The pool also carries a cache of row-maxima vectors, each of length N,
     filled on first use by :func:`full_row_maxima` and
@@ -62,7 +81,8 @@ class McPool:
             raise ValueError("draws shape must be (n_samples, len(sigma))")
         draws.setflags(write=False)
         sigma.setflags(write=False)
-        # column-contiguous copy: pairwise column ops dominate the runtime
+        # column-contiguous: pairwise column ops dominate the runtime.  No
+        # copy when draws is already the transpose of a C-contiguous buffer.
         cols = np.ascontiguousarray(draws.T)
         cols.setflags(write=False)
         object.__setattr__(self, "draws", draws)
@@ -78,6 +98,21 @@ class McPool:
         return np.array_equal(self.sigma, np.asarray(sigma, dtype=float))
 
 
+def _check_pool_fits_memory(n_samples: int, n_centers: int) -> None:
+    """Refuse a pool larger than physical memory, before allocating it."""
+    need = n_samples * n_centers * 8
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    if 0 < have < need:
+        raise ValueError(
+            f"a Monte-Carlo pool of {n_samples} x {n_centers} draws needs "
+            f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of "
+            f"physical memory; use a smaller --mc-samples"
+        )
+
+
 def make_mc_pool(sigma, n_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0,
                  floor: int = MC_SAMPLES_FLOOR) -> McPool:
     """Draw the reusable pool of centered Gaussians, one column per center.
@@ -89,7 +124,8 @@ def make_mc_pool(sigma, n_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0,
     Raises
     ------
     ValueError
-        If ``n_samples`` is below ``floor`` or any sigma is not positive.
+        If ``n_samples`` is below ``floor``, any sigma is not positive, or
+        the pool would not fit in physical memory.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 1 or sigma.size < 1:
@@ -99,9 +135,18 @@ def make_mc_pool(sigma, n_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0,
     n_samples = int(n_samples)
     if n_samples < floor:
         raise ValueError(f"n_samples={n_samples} is below the floor of {floor}")
+    _check_pool_fits_memory(n_samples, sigma.size)
     rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((n_samples, sigma.size)) * sigma[None, :]
-    return McPool(draws=draws, sigma=sigma, seed=int(seed), n_samples=n_samples)
+    # standard_normal fills its output in C order from one stream, so chunks
+    # of rows hold the values of a single (n_samples, n) draw; each chunk is
+    # scaled and stored transposed in the column-major buffer
+    cols = np.empty((sigma.size, n_samples))
+    chunk = np.empty((min(_DRAW_CHUNK_ROWS, n_samples), sigma.size))
+    for start in range(0, n_samples, _DRAW_CHUNK_ROWS):
+        stop = min(start + _DRAW_CHUNK_ROWS, n_samples)
+        rows = rng.standard_normal(out=chunk[: stop - start])
+        np.multiply(rows.T, sigma[:, None], out=cols[:, start:stop])
+    return McPool(draws=cols.T, sigma=sigma, seed=int(seed), n_samples=n_samples)
 
 
 def empirical_quantile(values: np.ndarray, alpha: float) -> float:
@@ -118,48 +163,130 @@ def empirical_quantile(values: np.ndarray, alpha: float) -> float:
     return float(np.partition(values, k - 1)[k - 1])
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _over_row_spans(n_rows: int, kernel) -> None:
+    """Run ``kernel(start, stop)`` on contiguous spans covering ``range(n_rows)``.
+
+    There is one span per usable core, each of at least ``_MIN_SPAN_ROWS``
+    rows.  The first span runs in the calling thread, the others each in a
+    thread of their own.  A kernel writes only its own slice of its outputs,
+    so spans share no mutable state.  An exception raised in any span is
+    re-raised here once every span has finished.
+    """
+    spans = max(1, min(_usable_cores(), n_rows // _MIN_SPAN_ROWS))
+    bounds = [n_rows * k // spans for k in range(spans + 1)]
+    errors = []
+
+    def run(start, stop):
+        try:
+            kernel(start, stop)
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=span) for span in zip(bounds[1:-1], bounds[2:])]
+    for thread in threads:
+        thread.start()
+    try:
+        kernel(bounds[0], bounds[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _standardized_diffs(pool: McPool, i_idx, j_idx, start: int, stop: int):
+    """Yield ``(Y_i - Y_j) / sqrt(sigma_i^2 + sigma_j^2)`` on pool rows start:stop, pair by pair.
+
+    Every value is written into the same buffer.  Indices and scales are
+    looped over as Python numbers, which is cheaper per pair on small pools.
+    """
+    i_idx, j_idx = np.asarray(i_idx, dtype=int), np.asarray(j_idx, dtype=int)
+    sig2 = pool.sigma ** 2
+    scales = np.sqrt(sig2[i_idx] + sig2[j_idx])
+    cols = list(pool._cols[:, start:stop])
+    diff = np.empty(stop - start)
+    for i, j, scale in zip(i_idx.tolist(), j_idx.tolist(), scales.tolist()):
+        np.subtract(cols[i], cols[j], out=diff)
+        diff /= scale
+        yield diff
+
+
 def pair_row_maxima(pool: McPool, i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
     """Per-row max of (Y_i - Y_j) / sqrt(sigma_i^2 + sigma_j^2) over given pairs."""
-    cols = pool._cols
-    sig2 = pool.sigma ** 2
-    out = np.full(pool.n_samples, -np.inf)
-    diff = np.empty(pool.n_samples)
-    for i, j in zip(i_idx, j_idx):
-        np.subtract(cols[i], cols[j], out=diff)
-        diff /= np.sqrt(sig2[i] + sig2[j])
-        np.maximum(out, diff, out=out)
+    out = np.empty(pool.n_samples)
+
+    def kernel(start, stop):
+        row_max = out[start:stop]
+        row_max.fill(-np.inf)
+        for diff in _standardized_diffs(pool, i_idx, j_idx, start, stop):
+            np.maximum(row_max, diff, out=row_max)
+
+    _over_row_spans(pool.n_samples, kernel)
     return out
 
 
-def _fill_row_maxima(pool: McPool) -> None:
-    """Cache both row-maxima vectors from one pass over the unordered pairs.
+def _fill_row_maxima(pool: McPool, key: str) -> None:
+    """Cache the ``"full"`` or ``"negative"`` row maxima; unequal sigmas cache both.
 
-    For each pair i > j the pass keeps the row-wise max and min of
-    ``d_ij = (Y_i - Y_j) / sqrt(sigma_i^2 + sigma_j^2)``.  IEEE subtraction is
-    exactly antisymmetric and the scale is symmetric, so ``d_ji == -d_ij``:
-    minus the min is the maximum over the negative pairs (i < j), and the
-    larger of the two is the maximum of ``|d_ij|`` over all ordered pairs, bit
-    for bit what a loop over ordered pairs gives.
+    With equal sigmas and scale ``s``, both reduce to order statistics of
+    each row: the full maximum is ``(max - min) / s`` and the negative-pair
+    maximum is ``max_j (max_{i<j} Y_i - Y_j) / s``, a running prefix maximum.
+    IEEE subtraction and division by ``s > 0`` round monotonically, so both
+    are bit for bit the maxima over the pairs.
+
+    With unequal sigmas one pass over the unordered pairs i > j keeps the
+    row-wise max and min of ``d_ij``.  IEEE subtraction is exactly
+    antisymmetric and the scale is symmetric, so ``d_ji == -d_ij``: minus the
+    min is the maximum over the negative pairs (i < j), and the larger of the
+    two is the maximum of ``|d_ij|`` over all ordered pairs, bit for bit what
+    a loop over ordered pairs gives.
     """
     cols = pool._cols
-    sig2 = pool.sigma ** 2
-    upper = np.full(pool.n_samples, -np.inf)
-    lower = np.full(pool.n_samples, np.inf)
-    diff = np.empty(pool.n_samples)
-    for i, j in zip(*np.tril_indices(pool.n_centers, k=-1)):
-        np.subtract(cols[i], cols[j], out=diff)
-        diff /= np.sqrt(sig2[i] + sig2[j])
-        np.maximum(upper, diff, out=upper)
-        np.minimum(lower, diff, out=lower)
-    negative = np.negative(lower, out=lower)
-    _cache(pool, "negative", negative)
-    if "full" not in pool._row_maxima:
-        _cache(pool, "full", np.maximum(upper, negative, out=upper))
+    sigma = pool.sigma
+    if np.all(sigma == sigma[0]):
+        scale = np.sqrt(sigma[0] ** 2 + sigma[0] ** 2)
+        out = np.empty(pool.n_samples)
+        outputs = {key: out}
 
+        def kernel(start, stop):
+            span, row_max = cols[:, start:stop], out[start:stop]
+            if key == "full":
+                np.subtract(span.max(axis=0), span.min(axis=0), out=row_max)
+            else:
+                row_max.fill(-np.inf)
+                prefix = span[0].copy()
+                diff = np.empty(stop - start)
+                for row in span[1:]:
+                    np.maximum(row_max, np.subtract(prefix, row, out=diff), out=row_max)
+                    np.maximum(prefix, row, out=prefix)
+            row_max /= scale
+    else:
+        full, negative = np.empty(pool.n_samples), np.empty(pool.n_samples)
+        outputs = {"full": full, "negative": negative}
+        i_idx, j_idx = np.tril_indices(pool.n_centers, k=-1)
 
-def _cache(pool: McPool, key: str, values: np.ndarray) -> None:
-    values.setflags(write=False)
-    pool._row_maxima[key] = values
+        def kernel(start, stop):
+            upper = full[start:stop]
+            lower = negative[start:stop]
+            upper.fill(-np.inf)
+            lower.fill(np.inf)
+            for diff in _standardized_diffs(pool, i_idx, j_idx, start, stop):
+                np.maximum(upper, diff, out=upper)
+                np.minimum(lower, diff, out=lower)
+            np.negative(lower, out=lower)
+            np.maximum(upper, lower, out=upper)
+
+    _over_row_spans(pool.n_samples, kernel)
+    for name, values in outputs.items():
+        values.setflags(write=False)
+        pool._row_maxima[name] = values
 
 
 def _check_pairs_exist(pool: McPool) -> None:
@@ -177,12 +304,7 @@ def full_row_maxima(pool: McPool) -> np.ndarray:
     """
     _check_pairs_exist(pool)
     if "full" not in pool._row_maxima:
-        sigma = pool.sigma
-        if np.all(sigma == sigma[0]):
-            scale = np.sqrt(sigma[0] ** 2 + sigma[0] ** 2)
-            _cache(pool, "full", (pool.draws.max(axis=1) - pool.draws.min(axis=1)) / scale)
-        else:
-            _fill_row_maxima(pool)
+        _fill_row_maxima(pool, "full")
     return pool._row_maxima["full"]
 
 
@@ -190,12 +312,13 @@ def negative_row_maxima(pool: McPool) -> np.ndarray:
     """Per-row max of (Y_i - Y_j) / sqrt(sigma_i^2 + sigma_j^2) over pairs i < j.
 
     These are the negative pairs of a sorted sample, which the sequential
-    procedure keeps in every round.  The vector is computed once per pool and
+    procedure keeps in every round.  With equal sigmas this is a running
+    prefix maximum, O(n) per row.  The vector is computed once per pool and
     returned read-only from its cache.
     """
     _check_pairs_exist(pool)
     if "negative" not in pool._row_maxima:
-        _fill_row_maxima(pool)
+        _fill_row_maxima(pool, "negative")
     return pool._row_maxima["negative"]
 
 

@@ -130,10 +130,20 @@ class MethodStats:
             "reps": self.reps,
             "coverage_rate": self.coverage_rate,
             "index_coverage_rate": self.index_coverage_rate,
-            "mean_width": float(np.nanmean(self.mean_width)),
-            "mean_rankability": float(np.nanmean(self.rankability)),
+            "mean_width": _nanmean(self.mean_width),
+            "mean_rankability": _nanmean(self.rankability),
             "fwer_rate": self.fwer_rate,
         }
+
+
+def _nanmean(values: np.ndarray) -> float:
+    """Mean over the non-NaN entries; NaN, with no warning, if every entry is NaN."""
+    return float("nan") if np.isnan(values).all() else float(np.nanmean(values))
+
+
+def _nan_to_none(summary: dict) -> dict:
+    """The summary with NaN means as None, which JSON writes as null."""
+    return {k: None if isinstance(v, float) and np.isnan(v) else v for k, v in summary.items()}
 
 
 @dataclass
@@ -163,7 +173,7 @@ class CoverageReport:
             "criterion": self.criterion,
             "true_rankability": self.true_rankability,
             "nestedness_violations": self.nestedness_violations,
-            "methods": {m: s.summary() for m, s in self.methods.items()},
+            "methods": {m: _nan_to_none(s.summary()) for m, s in self.methods.items()},
         }
 
     def format_table(self) -> str:

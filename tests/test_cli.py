@@ -217,6 +217,14 @@ class TestCmdRank:
         assert len(err) == 1
         assert err[0].startswith("error:")
 
+    def test_pool_larger_than_memory_exits_with_one_line(self, estimates_file, capsys):
+        rc = main(["rank", "--input", estimates_file, "--method", "tukey",
+                   "--mc-samples", str(10**13)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "--mc-samples" in err[0]
+
 
 class TestCmdSimulate:
     def test_single_replicate_coverage_binary(self, capsys):
@@ -241,6 +249,27 @@ class TestCmdSimulate:
         rc = main(["simulate", "--scenario", f"file:{path}", "--seed", "1"])
         assert rc == 0
         assert "scenario mini" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_single_center_json_is_strict(self, tmp_path, capsys):
+        # one center: every replicate's rankability is NaN
+        spec = {"mu": [0.0], "sigma": 1.0, "reps": 2, "mc_samples": 2000,
+                "n_boot": 200, "name": "one"}
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(spec))
+        argv = ["simulate", "--scenario", f"file:{path}", "--seed", "1"]
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        assert main(argv + ["--out", "json", "--out-file", str(tmp_path / "o.json")]) == 0
+        report = json.loads((tmp_path / "o.json").read_text(), parse_constant=reject)["report"]
+        assert [s["mean_rankability"] for s in report["methods"].values()] == [None] * 3
+        assert main(argv + ["--out", "tsv", "--out-file", str(tmp_path / "o.tsv")]) == 0
+        rows = (tmp_path / "o.tsv").read_text().splitlines()[-3:]
+        assert [row.split("\t")[-1] for row in rows] == ["nan"] * 3
+        table = capsys.readouterr().out.splitlines()
+        assert [row.split()[4] for row in table if row.startswith("tukey")] == ["nan", "nan"]
 
     def test_json_output(self, tmp_path, capsys):
         out_file = tmp_path / "sim.json"

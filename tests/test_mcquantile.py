@@ -1,14 +1,18 @@
 import hashlib
+import os
+import sys
 
 import numpy as np
 import pytest
 
+from rankci import mcquantile
 from rankci.core import PairSet
 from rankci.mcquantile import (
     MC_SAMPLES_FLOOR,
     full_row_maxima,
     make_mc_pool,
     negative_row_maxima,
+    pair_row_maxima,
     restricted_max_quantile,
     studentized_range_quantile,
 )
@@ -60,10 +64,26 @@ class TestMakeMcPool:
     def test_draws_bytes_pinned(self):
         # the row-major bytes of the pool: PCG64 stream order, per-column
         # scale, and a row count that fills no whole number of chunks
+        assert 20_001 % mcquantile._DRAW_CHUNK_ROWS and 20_001 > mcquantile._DRAW_CHUNK_ROWS
         sigma = np.random.default_rng(8).uniform(0.5, 1.5, 7)
         pool = make_mc_pool(sigma, 20_001, seed=29)
         assert hashlib.sha256(pool.draws.tobytes()).hexdigest() == (
             "85937b838e9cfe2d89e5dab42569af517131c4ba9f1ddadae9a73b076d147c6d")
+
+    def test_one_read_only_buffer(self):
+        pool = make_mc_pool([1.0, 2.0, 0.5], 5_000, seed=1)
+        assert np.shares_memory(pool.draws, pool._cols)
+        assert not pool.draws.flags.writeable and not pool._cols.flags.writeable
+
+    @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="physical memory unknown")
+    def test_larger_than_memory_rejected_before_allocating(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("pool allocated before the memory check")
+
+        monkeypatch.setattr(mcquantile.np, "empty", no_allocation)
+        monkeypatch.setattr(mcquantile.np.random, "default_rng", no_allocation)
+        with pytest.raises(ValueError, match="--mc-samples"):
+            make_mc_pool([1.0, 1.0], 10**13, seed=0)
 
 
 class TestStudentizedRangeQuantile:
@@ -144,6 +164,42 @@ class TestRestrictedMaxQuantile:
             restricted_max_quantile(pool, PairSet(frozenset({(0, 2)})), 0.05)
 
 
+# 3 spans of 666, 667 and 667 rows; 13 spans, more threads than cores,
+# switching threads every microsecond
+@pytest.fixture(params=[(3, 600), (13, 100)], ids=["3-spans", "13-spans"])
+def row_spans(request, monkeypatch):
+    """Split 2000-row pools into the uneven spans of ``request.param``; check the split."""
+    cores, min_rows = request.param
+    monkeypatch.setattr(mcquantile, "_MIN_SPAN_ROWS", min_rows)
+    monkeypatch.setattr(mcquantile, "_usable_cores", lambda: cores)
+    calls = []
+    over_row_spans = mcquantile._over_row_spans
+
+    def recording(n_rows, kernel):
+        seen = []
+        calls.append(seen)
+
+        def recorded(start, stop):
+            seen.append((start, stop))
+            kernel(start, stop)
+
+        over_row_spans(n_rows, recorded)
+
+    monkeypatch.setattr(mcquantile, "_over_row_spans", recording)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls
+    for seen in calls:
+        bounds = sorted(seen)
+        assert bounds[0][0] == 0 and bounds[-1][1] == 2_000
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        assert len(bounds) >= 3 and len({stop - start for start, stop in bounds}) > 1
+
+
 def _ordered_pair_row_maxima(pool, keep):
     """Row maxima of (Y_i - Y_j) / sqrt(sigma_i^2 + sigma_j^2), one ordered pair at a time."""
     cols = pool.draws.T
@@ -156,6 +212,18 @@ def _ordered_pair_row_maxima(pool, keep):
     return out
 
 
+def _check_cache_against_ordered_pairs(sigma, negative_first):
+    pool = make_mc_pool(sigma, 2_000, seed=17)
+    if negative_first:
+        negative = negative_row_maxima(pool)
+        full = full_row_maxima(pool)
+    else:
+        full = full_row_maxima(pool)
+        negative = negative_row_maxima(pool)
+    assert full.tobytes() == _ordered_pair_row_maxima(pool, lambda i, j: True).tobytes()
+    assert negative.tobytes() == _ordered_pair_row_maxima(pool, lambda i, j: i < j).tobytes()
+
+
 class TestRowMaximaCache:
     SIGMAS = {
         "unequal": np.random.default_rng(50).uniform(0.5, 1.5, 50),
@@ -165,15 +233,7 @@ class TestRowMaximaCache:
     @pytest.mark.parametrize("negative_first", [False, True])
     @pytest.mark.parametrize("sigma", sorted(SIGMAS))
     def test_bit_identical_to_ordered_pair_loop(self, sigma, negative_first):
-        pool = make_mc_pool(self.SIGMAS[sigma], 2_000, seed=17)
-        if negative_first:
-            negative = negative_row_maxima(pool)
-            full = full_row_maxima(pool)
-        else:
-            full = full_row_maxima(pool)
-            negative = negative_row_maxima(pool)
-        assert full.tobytes() == _ordered_pair_row_maxima(pool, lambda i, j: True).tobytes()
-        assert negative.tobytes() == _ordered_pair_row_maxima(pool, lambda i, j: i < j).tobytes()
+        _check_cache_against_ordered_pairs(self.SIGMAS[sigma], negative_first)
 
     @pytest.mark.parametrize("sigma", sorted(SIGMAS))
     def test_computed_once_per_pool(self, sigma):
@@ -194,3 +254,39 @@ class TestRowMaximaCache:
         pool = make_mc_pool([1.0], 1000, seed=0)
         with pytest.raises(ValueError):
             negative_row_maxima(pool)
+
+
+class TestRowSpans:
+    """Kernels split over uneven row spans give the bits of one loop."""
+
+    SIGMAS = TestRowMaximaCache.SIGMAS
+
+    @pytest.mark.parametrize("negative_first", [False, True])
+    @pytest.mark.parametrize("sigma", sorted(SIGMAS))
+    def test_cached_maxima(self, row_spans, sigma, negative_first):
+        _check_cache_against_ordered_pairs(self.SIGMAS[sigma], negative_first)
+
+    @pytest.mark.parametrize("sigma", sorted(SIGMAS))
+    def test_pair_row_maxima(self, row_spans, sigma):
+        pool = make_mc_pool(self.SIGMAS[sigma], 2_000, seed=23)
+        rng = np.random.default_rng(5)
+        chosen = {(i, j) for i in range(50) for j in range(50) if i != j and rng.random() < 0.3}
+        i_idx, j_idx = (np.array(v) for v in zip(*sorted(chosen)))
+        expected = _ordered_pair_row_maxima(pool, lambda i, j: (i, j) in chosen)
+        assert pair_row_maxima(pool, i_idx, j_idx).tobytes() == expected.tobytes()
+
+    def test_small_pool_runs_in_one_span(self):
+        seen = []
+        mcquantile._over_row_spans(2_000, lambda start, stop: seen.append((start, stop)))
+        assert seen == [(0, 2_000)]
+
+    def test_error_in_a_span_is_raised(self, monkeypatch):
+        monkeypatch.setattr(mcquantile, "_MIN_SPAN_ROWS", 600)
+        monkeypatch.setattr(mcquantile, "_usable_cores", lambda: 3)
+
+        def kernel(start, stop):
+            if start > 0:
+                raise RuntimeError(f"span at row {start}")
+
+        with pytest.raises(RuntimeError, match="span at row"):
+            mcquantile._over_row_spans(2_000, kernel)
