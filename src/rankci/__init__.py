@@ -20,6 +20,7 @@ from .core import (
     RankInterval,
     SetRank,
     SimultaneousRankCIs,
+    rank_bounds_from_rejections,
     true_set_ranks,
     truth_partition,
 )
@@ -32,7 +33,7 @@ from .mcquantile import (
     studentized_range_quantile,
 )
 from .rankability import RankabilityEstimate, rankability_estimate, rankability_true
-from .seqtukey import SeqStep, SeqTrace, rank_bounds_from_rejections, sequential_tukey
+from .seqtukey import SeqStep, SeqTrace, sequential_tukey
 from .simharness import (
     PRESET_CENTERS,
     CoverageReport,

@@ -204,8 +204,8 @@ def _print_trace(results) -> None:
     print("\nsequential trace:")
     for k, step in enumerate(entry["trace"].steps, start=1):
         print(f"iter {k}: q={step.critical_value:.6g}, "
-              f"newly rejected {len(step.newly_rejected)}, "
-              f"total {len(step.rejected_total)}")
+              f"newly rejected {np.count_nonzero(step.newly_rejected)}, "
+              f"total {np.count_nonzero(step.rejected_total)}")
 
 
 def _results_blocks(results, centers, bounds) -> dict:
@@ -287,6 +287,14 @@ def cmd_rank(args) -> int:
     return 0
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_number_list(value) -> bool:
+    return isinstance(value, list) and all(_is_number(v) for v in value)
+
+
 def _load_scenario(args) -> ScenarioConfig:
     methods = tuple(args.methods.split(",")) if args.methods else ("tukey", "seqtukey", "zhang")
     if args.scenario in PRESET_CENTERS:
@@ -301,14 +309,17 @@ def _load_scenario(args) -> ScenarioConfig:
                 spec = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise IngestError(f"cannot load scenario file {path}: {exc}") from exc
-        if "mu" not in spec:
-            raise IngestError(f"scenario file {path} must define 'mu'")
-        mu = [float(v) for v in spec["mu"]]
-        sigma = spec.get("sigma", 1.0)
-        if np.isscalar(sigma):
-            sigma = [float(sigma)] * len(mu)
+        if not isinstance(spec, dict) or "mu" not in spec:
+            raise IngestError(f"scenario file {path} must be a JSON object defining 'mu'")
+        mu, sigma = spec["mu"], spec.get("sigma", 1.0)
+        if not _is_number_list(mu):
+            raise IngestError(f"scenario file {path}: 'mu' must be a list of numbers")
+        if _is_number(sigma):
+            sigma = [sigma] * len(mu)
+        elif not _is_number_list(sigma):
+            raise IngestError(f"scenario file {path}: 'sigma' must be a number or a list of numbers")
         return ScenarioConfig(
-            mu=tuple(mu),
+            mu=tuple(float(v) for v in mu),
             sigma=tuple(float(s) for s in sigma),
             alpha=float(spec.get("alpha", args.alpha)),
             reps=int(spec.get("reps", args.reps)),

@@ -5,6 +5,12 @@ deviations.  Estimators work on a :class:`CenterSample`, which keeps the
 observations sorted ascending; all pair indices used across the package are
 0-based positions into that sorted sample.  Rank values themselves are
 1-based integers between 1 and n.
+
+A set of pairs is a read-only boolean ``(n, n)`` mask: ``mask[i, j]`` is the
+ordered pair (i, j), the one-sided hypothesis "center i is at most center
+j", and the diagonal is always False.  On a sorted sample only the positive
+pairs (i > j) can be rejected, so a rejection mask is strictly
+lower-triangular.
 """
 
 import warnings
@@ -20,6 +26,7 @@ __all__ = [
     "PairSet",
     "true_set_ranks",
     "truth_partition",
+    "rank_bounds_from_rejections",
 ]
 
 #: Methods whose rank intervals are simultaneous by construction and are
@@ -295,19 +302,40 @@ def true_set_ranks(mu) -> list[SetRank]:
     return [SetRank(int(lo), int(up)) for lo, up in zip(lower, upper)]
 
 
-def truth_partition(mu) -> tuple[PairSet, PairSet]:
+def truth_partition(mu) -> tuple[np.ndarray, np.ndarray]:
     """Split all ordered pairs into true and false one-sided hypotheses.
 
     Pair (i, j) is *true* iff ``mu_i <= mu_j`` (exact comparison); the false
-    set is the complement within all ordered pairs.
+    mask is the complement within all ordered pairs.  Both masks are
+    read-only with a False diagonal.
     """
     mu = _as_float_vector(mu, "mu")
-    n = mu.size
-    true_pairs = set()
-    false_pairs = set()
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            (true_pairs if mu[i] <= mu[j] else false_pairs).add((i, j))
-    return PairSet(frozenset(true_pairs)), PairSet(frozenset(false_pairs))
+    true_mask = mu[:, None] <= mu[None, :]
+    np.fill_diagonal(true_mask, False)
+    false_mask = mu[:, None] > mu[None, :]
+    true_mask.setflags(write=False)
+    false_mask.setflags(write=False)
+    return true_mask, false_mask
+
+
+def rank_bounds_from_rejections(rejected: np.ndarray) -> list[RankInterval]:
+    """Rank intervals implied by a mask of rejected positive pairs.
+
+    ``L_i = 1 + #{j < i : (i, j) rejected}`` and
+    ``U_i = n - #{j > i : (j, i) rejected}``, in 1-based rank units: row and
+    column sums of the strictly lower-triangular mask.
+
+    Raises
+    ------
+    ValueError
+        If the mask is not square or rejects a pair on or above the diagonal.
+    """
+    rejected = np.asarray(rejected, dtype=bool)
+    if rejected.ndim != 2 or rejected.shape[0] != rejected.shape[1]:
+        raise ValueError(f"rejection mask must be square, got shape {rejected.shape}")
+    if np.triu(rejected).any():
+        raise ValueError("rejection mask must be strictly lower-triangular (pairs i > j)")
+    n = rejected.shape[0]
+    lower = 1 + rejected.sum(axis=1)
+    upper = n - rejected.sum(axis=0)
+    return [RankInterval(lo, up) for lo, up in zip(lower.tolist(), upper.tolist())]

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PairSet
-
 __all__ = [
     "McPool",
     "make_mc_pool",
@@ -334,23 +332,28 @@ def studentized_range_quantile(pool: McPool, alpha: float) -> float:
     return empirical_quantile(full_row_maxima(pool), alpha)
 
 
-def restricted_max_quantile(pool: McPool, pairs: PairSet, alpha: float) -> float:
+def restricted_max_quantile(pool: McPool, pairs: np.ndarray, alpha: float) -> float:
     """Empirical (1-alpha)-quantile of the maximum over a restricted pair set.
 
-    The statistic per pool row is
-    ``max over (i, j) in pairs of (Y_i - Y_j) / sqrt(sigma_i^2 + sigma_j^2)``
+    ``pairs`` is a boolean ``(n, n)`` mask over the pool's columns with a
+    False diagonal.  The statistic per pool row is
+    ``max over pairs[i, j] of (Y_i - Y_j) / sqrt(sigma_i^2 + sigma_j^2)``
     (signed, so one-sided hypotheses are represented faithfully).  On a fixed
     pool the result is exactly non-decreasing in the pair set.
 
     Raises
     ------
     ValueError
-        If ``pairs`` is empty or references a column outside the pool.
+        If the mask is not ``(n, n)`` for this pool, is empty, or holds a
+        diagonal pair.
     """
-    if not pairs:
-        raise ValueError("pair set is empty: no hypothesis left to calibrate")
-    i_idx, j_idx = pairs.index_arrays()
+    pairs = np.asarray(pairs, dtype=bool)
     n = pool.n_centers
-    if i_idx.max() >= n or j_idx.max() >= n:
-        raise ValueError("pair index out of range for this pool")
+    if pairs.shape != (n, n):
+        raise ValueError(f"pair mask must have shape ({n}, {n}), got {pairs.shape}")
+    if pairs.diagonal().any():
+        raise ValueError("pair (i, i) is not a valid hypothesis")
+    if not pairs.any():
+        raise ValueError("pair set is empty: no hypothesis left to calibrate")
+    i_idx, j_idx = np.nonzero(pairs)
     return empirical_quantile(pair_row_maxima(pool, i_idx, j_idx), alpha)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CenterSample, PairSet, RankInterval, SimultaneousRankCIs
+from .core import CenterSample, RankInterval, SimultaneousRankCIs, rank_bounds_from_rejections
 from .mcquantile import (
     McPool,
     empirical_quantile,
@@ -21,17 +21,22 @@ from .mcquantile import (
     pair_row_maxima,
     studentized_range_quantile,
 )
+from .tukey import _check_pool, _statistic_matrix
 
-__all__ = ["SeqStep", "SeqTrace", "sequential_tukey", "rank_bounds_from_rejections"]
+__all__ = ["SeqStep", "SeqTrace", "sequential_tukey"]
 
 
 @dataclass(frozen=True)
 class SeqStep:
-    """One testing round: the critical value used, what it newly rejected."""
+    """One testing round: the critical value used, what it newly rejected.
+
+    Both rejection sets are read-only strictly lower-triangular ``(n, n)``
+    masks over the sorted sample.
+    """
 
     critical_value: float
-    newly_rejected: PairSet
-    rejected_total: PairSet
+    newly_rejected: np.ndarray
+    rejected_total: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -57,29 +62,9 @@ class SeqTrace:
         return [s.critical_value for s in self.steps]
 
     @property
-    def final_rejected(self) -> PairSet:
-        return self.steps[-1].rejected_total if self.steps else PairSet()
-
-
-def rank_bounds_from_rejections(rejected: PairSet, n: int) -> list[RankInterval]:
-    """Rank intervals implied by a set of rejected positive pairs.
-
-    ``L_i = 1 + #{j < i : (i, j) rejected}`` and
-    ``U_i = n - #{j > i : (j, i) rejected}``, in 1-based rank units.
-
-    Raises
-    ------
-    ValueError
-        If a pair is not positive (i > j) or indexes outside ``0..n-1``.
-    """
-    lower = np.ones(n, dtype=int)
-    upper = np.full(n, n, dtype=int)
-    for i, j in rejected:
-        if not 0 <= j < i < n:
-            raise ValueError(f"({i}, {j}) is not a positive pair within 0..{n - 1}")
-        lower[i] += 1
-        upper[j] -= 1
-    return [RankInterval(int(lo), int(up)) for lo, up in zip(lower, upper)]
+    def final_rejected(self) -> np.ndarray | None:
+        """The cumulative rejection mask of the last round; None without rounds."""
+        return self.steps[-1].rejected_total if self.steps else None
 
 
 def sequential_tukey(sample: CenterSample, alpha: float, pool: McPool
@@ -91,39 +76,34 @@ def sequential_tukey(sample: CenterSample, alpha: float, pool: McPool
     round one makes exactly Tukey's rejections, and later rounds can only
     reject more.
     """
-    if not pool.matches_sigma(sample.sigma):
-        raise ValueError("pool was not built with the sample's sigma vector")
+    _check_pool(sample, pool)
     n = sample.n
     if n == 1:
         cis = SimultaneousRankCIs((RankInterval(1, 1),), alpha, "seqtukey", iterations=0)
         return cis, SeqTrace(())
 
-    y = sample.y
-    sig2 = sample.sigma ** 2
-    pos_i, pos_j = PairSet.positive_pairs(n).index_arrays()
-    pos_stat = (y[pos_i] - y[pos_j]) / np.sqrt(sig2[pos_i] + sig2[pos_j])
-    active = np.ones(pos_i.size, dtype=bool)
-
+    stat = _statistic_matrix(sample)
+    rejected = np.zeros((n, n), dtype=bool)
     q = studentized_range_quantile(pool, alpha)
-    rejected: set[tuple[int, int]] = set()
     steps: list[SeqStep] = []
 
     while True:
-        newly_mask = active & (pos_stat > q)
-        newly = {(int(i), int(j)) for i, j in zip(pos_i[newly_mask], pos_j[newly_mask])}
-        rejected |= newly
-        steps.append(SeqStep(q, PairSet(frozenset(newly)), PairSet(frozenset(rejected))))
-        if not newly:
+        newly = np.tril(stat > q, -1) & ~rejected
+        rejected = rejected | newly
+        newly.setflags(write=False)
+        rejected.setflags(write=False)
+        steps.append(SeqStep(q, newly, rejected))
+        if not newly.any():
             break
-        active &= ~newly_mask
-        if not active.any():
+        active_i, active_j = np.nonzero(np.tril(~rejected, -1))
+        if active_i.size == 0:
             break
         # the negative pairs stay in every round; their row maxima are
         # cached on the pool, shared across rounds and across alphas
-        row_max = pair_row_maxima(pool, pos_i[active], pos_j[active])
+        row_max = pair_row_maxima(pool, active_i, active_j)
         np.maximum(row_max, negative_row_maxima(pool), out=row_max)
         q = empirical_quantile(row_max, alpha)
 
-    intervals = rank_bounds_from_rejections(PairSet(frozenset(rejected)), n)
+    intervals = rank_bounds_from_rejections(rejected)
     cis = SimultaneousRankCIs(tuple(intervals), alpha, "seqtukey", iterations=len(steps))
     return cis, SeqTrace(tuple(steps))

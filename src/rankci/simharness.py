@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bootstrap import BootstrapConfig, zhang_simultaneous
-from .core import CenterSample, SimultaneousRankCIs, true_set_ranks
+from .core import CenterSample, SimultaneousRankCIs, true_set_ranks, truth_partition
 from .mcquantile import DEFAULT_MC_SAMPLES, make_mc_pool
 from .rankability import rankability_estimate, rankability_true
 from .seqtukey import sequential_tukey
@@ -209,12 +209,6 @@ def _covered_index(cis: SimultaneousRankCIs, index_targets: np.ndarray) -> bool:
     return all(ci.contains_rank(int(t)) for ci, t in zip(cis.intervals, index_targets))
 
 
-def _any_false_rejection(rejected, mu_sorted: np.ndarray) -> bool:
-    # a rejected positive pair (i, j) claims mu_i > mu_j; it is a false
-    # rejection when the one-sided hypothesis mu_i <= mu_j was true
-    return any(mu_sorted[i] <= mu_sorted[j] for i, j in rejected)
-
-
 def run_coverage(cfg: ScenarioConfig) -> CoverageReport:
     """Run a scenario and score simultaneous coverage per method.
 
@@ -247,7 +241,9 @@ def run_coverage(cfg: ScenarioConfig) -> CoverageReport:
         data_rng = np.random.default_rng(_child_seed(cfg.seed, r, _TAG_DATA))
         y = mu + sigma * data_rng.standard_normal(n)
         sample = CenterSample.from_observations(y, sigma)
-        mu_sorted = mu[sample.order]
+        # a rejected pair (i, j) claims mu_i > mu_j; it is a false rejection
+        # when the one-sided hypothesis mu_i <= mu_j was true
+        true_mask, _ = truth_partition(mu[sample.order])
         sorted_set_ranks = (
             [input_set_ranks[k] for k in sample.order] if input_set_ranks else None
         )
@@ -296,7 +292,7 @@ def run_coverage(cfg: ScenarioConfig) -> CoverageReport:
             if rec["false_rejection"] is not None:
                 rejected = rejections.get(m)
                 if rejected is not None:
-                    rec["false_rejection"][r] = _any_false_rejection(rejected, mu_sorted)
+                    rec["false_rejection"][r] = bool(np.any(rejected & true_mask))
 
     report = CoverageReport(
         scenario=cfg,

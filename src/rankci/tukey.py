@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CenterSample, PairSet, RankInterval, SimultaneousRankCIs
+from .core import CenterSample, SimultaneousRankCIs, rank_bounds_from_rejections
 from .mcquantile import McPool, studentized_range_quantile
 
 __all__ = ["DifferenceCI", "tukey_difference_cis", "tukey_rank_cis", "tukey_rejected_pairs"]
@@ -65,24 +65,22 @@ def tukey_difference_cis(sample: CenterSample, alpha: float, pool: McPool) -> li
     return out
 
 
-def tukey_rejected_pairs(sample: CenterSample, alpha: float, pool: McPool) -> PairSet:
+def tukey_rejected_pairs(sample: CenterSample, alpha: float, pool: McPool) -> np.ndarray:
     """Positive pairs (i, j), i > j, whose standardized difference exceeds q.
 
-    Rejection is strict (statistic > q); a statistic exactly equal to the
-    critical value is not rejected.
+    The pairs come as a read-only, strictly lower-triangular ``(n, n)``
+    boolean mask over the sorted sample.  Rejection is strict
+    (statistic > q); a statistic exactly equal to the critical value is not
+    rejected.
     """
     _check_pool(sample, pool)
     if sample.n < 2:
-        return PairSet()
-    q = studentized_range_quantile(pool, alpha)
-    stat = _statistic_matrix(sample)
-    rejected = {
-        (i, j)
-        for i in range(sample.n)
-        for j in range(i)
-        if stat[i, j] > q
-    }
-    return PairSet(frozenset(rejected))
+        rejected = np.zeros((1, 1), dtype=bool)
+    else:
+        q = studentized_range_quantile(pool, alpha)
+        rejected = np.tril(_statistic_matrix(sample) > q, -1)
+    rejected.setflags(write=False)
+    return rejected
 
 
 def tukey_rank_cis(sample: CenterSample, alpha: float, pool: McPool) -> SimultaneousRankCIs:
@@ -93,16 +91,5 @@ def tukey_rank_cis(sample: CenterSample, alpha: float, pool: McPool) -> Simultan
     upper bound is n minus the rejected count above i.  The counting handles
     non-contiguous rejection patterns, which can occur with unequal sigmas.
     """
-    _check_pool(sample, pool)
-    n = sample.n
-    if n == 1:
-        return SimultaneousRankCIs((RankInterval(1, 1),), alpha, "tukey")
-    q = studentized_range_quantile(pool, alpha)
-    stat = _statistic_matrix(sample)
-    rejected = stat > q
-    intervals = []
-    for i in range(n):
-        lower = 1 + int(np.count_nonzero(rejected[i, :i]))
-        upper = n - int(np.count_nonzero(rejected[i, i + 1:]))
-        intervals.append(RankInterval(lower, upper))
+    intervals = rank_bounds_from_rejections(tukey_rejected_pairs(sample, alpha, pool))
     return SimultaneousRankCIs(tuple(intervals), alpha, "tukey")

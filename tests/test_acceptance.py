@@ -124,7 +124,7 @@ def test_criterion_4_monotone_trace_exact(instance_sweep):
         if any(qs[k + 1] > qs[k] for k in range(len(qs) - 1)):
             bad_q += 1
         cumulative = [step.rejected_total for step in trace.steps]
-        if any(not cumulative[k].issubset(cumulative[k + 1])
+        if any(not np.all(~cumulative[k] | cumulative[k + 1])
                for k in range(len(cumulative) - 1)):
             bad_growth += 1
     _report(4, "monotone critical values and growing rejection sets",

@@ -250,6 +250,16 @@ class TestCmdSimulate:
         assert rc == 0
         assert "scenario mini" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("spec", [{"mu": 5}, {"mu": [1, 2], "sigma": None}, "mu"],
+                             ids=["scalar-mu", "null-sigma", "top-level-string"])
+    def test_malformed_scenario_file_exits_with_one_line(self, tmp_path, capsys, spec):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        rc = main(["simulate", "--scenario", f"file:{path}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario file ") and err.count("\n") == 1
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_single_center_json_is_strict(self, tmp_path, capsys):
         # one center: every replicate's rankability is NaN

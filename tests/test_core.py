@@ -63,31 +63,40 @@ class TestTrueSetRanks:
         assert sum(r.width for r in ranks) == tied_ordered
 
 
+def pairs_of(mask):
+    return set(zip(*(idx.tolist() for idx in np.nonzero(mask))))
+
+
 class TestTruthPartition:
     def test_two_distinct(self):
         true_pairs, false_pairs = truth_partition([0.0, 1.0])
-        assert set(true_pairs) == {(0, 1)}
-        assert set(false_pairs) == {(1, 0)}
+        assert pairs_of(true_pairs) == {(0, 1)}
+        assert pairs_of(false_pairs) == {(1, 0)}
 
     def test_tie_makes_both_true(self):
         true_pairs, false_pairs = truth_partition([0.0, 0.0])
-        assert set(true_pairs) == {(0, 1), (1, 0)}
-        assert len(false_pairs) == 0
+        assert pairs_of(true_pairs) == {(0, 1), (1, 0)}
+        assert not false_pairs.any()
 
     def test_three_distinct_false_count(self):
         # all 6 ordered pairs by hand: (i,j) true iff mu_i <= mu_j
         true_pairs, false_pairs = truth_partition([0.0, 1.0, 2.0])
-        assert len(false_pairs) == 3
-        assert set(true_pairs) == {(0, 1), (0, 2), (1, 2)}
+        assert np.count_nonzero(false_pairs) == 3
+        assert pairs_of(true_pairs) == {(0, 1), (0, 2), (1, 2)}
 
     @pytest.mark.parametrize("seed", range(10))
     def test_partition_covers_all_ordered_pairs(self, seed):
         rng = np.random.default_rng(seed)
         mu = np.round(rng.normal(size=7), 1)
         true_pairs, false_pairs = truth_partition(mu)
-        everything = true_pairs.union(false_pairs)
-        assert set(everything) == set(PairSet.all_pairs(7))
-        assert not (true_pairs.pairs & false_pairs.pairs)
+        assert true_pairs.shape == false_pairs.shape == (7, 7)
+        assert np.array_equal(true_pairs | false_pairs, ~np.eye(7, dtype=bool))
+        assert not (true_pairs & false_pairs).any()
+
+    def test_masks_read_only(self):
+        for mask in truth_partition([0.0, 1.0, 1.0]):
+            with pytest.raises(ValueError):
+                mask[0, 1] = False
 
 
 class TestIntervalTypes:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rankci import mcquantile
-from rankci.core import PairSet
 from rankci.mcquantile import (
     MC_SAMPLES_FLOOR,
     full_row_maxima,
@@ -16,6 +15,11 @@ from rankci.mcquantile import (
     restricted_max_quantile,
     studentized_range_quantile,
 )
+
+def all_pairs(n):
+    """Mask of every ordered pair over n centers."""
+    return ~np.eye(n, dtype=bool)
+
 
 # standard-normal quantiles, frozen from tables:
 # the n=2 equal-sigma statistic is |Z|, so its (1-a) quantile is z_{1-a/2};
@@ -123,19 +127,19 @@ class TestStudentizedRangeQuantile:
         # the equal-sigma range shortcut must agree bit for bit with the
         # general pairwise evaluation over the full ordered-pair set
         pool = make_mc_pool([1.5, 1.5, 1.5, 1.5], 20_000, seed=13)
-        full = restricted_max_quantile(pool, PairSet.all_pairs(4), 0.1)
+        full = restricted_max_quantile(pool, all_pairs(4), 0.1)
         assert studentized_range_quantile(pool, 0.1) == full
 
 
 class TestRestrictedMaxQuantile:
     def test_full_set_equals_studentized_range(self):
         pool = make_mc_pool([0.7, 1.0, 1.3], 50_000, seed=21)
-        q_full = restricted_max_quantile(pool, PairSet.all_pairs(3), 0.05)
+        q_full = restricted_max_quantile(pool, all_pairs(3), 0.05)
         assert q_full == studentized_range_quantile(pool, 0.05)
 
     def test_single_pair_one_sided_oracle(self):
         pool = make_mc_pool([1.0, 1.0], 200_000, seed=5)
-        q = restricted_max_quantile(pool, PairSet(frozenset({(0, 1)})), 0.05)
+        q = restricted_max_quantile(pool, np.array([[False, True], [False, False]]), 0.05)
         assert abs(q - Z_95) < 0.02
 
     @pytest.mark.parametrize("seed", range(5))
@@ -143,25 +147,32 @@ class TestRestrictedMaxQuantile:
         rng = np.random.default_rng(seed)
         n = 6
         pool = make_mc_pool(0.5 + rng.random(n), 5_000, seed=seed)
-        all_pairs = sorted(PairSet.all_pairs(n))
-        small = PairSet(frozenset(
-            p for p in all_pairs if rng.random() < 0.3
-        ) or frozenset({all_pairs[0]}))
-        extra = frozenset(p for p in all_pairs if rng.random() < 0.5)
-        big = PairSet(small.pairs | extra)
+        small = all_pairs(n) & (rng.random((n, n)) < 0.3)
+        if not small.any():
+            small[0, 1] = True
+        big = small | (all_pairs(n) & (rng.random((n, n)) < 0.5))
         q_small = restricted_max_quantile(pool, small, 0.05)
         q_big = restricted_max_quantile(pool, big, 0.05)
         assert q_small <= q_big
 
     def test_empty_pairs_rejected(self):
         pool = make_mc_pool([1.0, 1.0], 1000, seed=0)
-        with pytest.raises(ValueError):
-            restricted_max_quantile(pool, PairSet(), 0.05)
+        with pytest.raises(ValueError, match="empty"):
+            restricted_max_quantile(pool, np.zeros((2, 2), dtype=bool), 0.05)
 
     def test_out_of_range_pair(self):
+        # pair (0, 2) needs a third column: a 3 x 3 mask on a 2-center pool
+        pool = make_mc_pool([1.0, 1.0], 1000, seed=0)
+        out_of_range = np.zeros((3, 3), dtype=bool)
+        out_of_range[0, 2] = True
+        for bad in (out_of_range, np.ones(2, dtype=bool), np.ones((2, 3), dtype=bool)):
+            with pytest.raises(ValueError, match="shape"):
+                restricted_max_quantile(pool, bad, 0.05)
+
+    def test_diagonal_pair_rejected(self):
         pool = make_mc_pool([1.0, 1.0], 1000, seed=0)
         with pytest.raises(ValueError):
-            restricted_max_quantile(pool, PairSet(frozenset({(0, 2)})), 0.05)
+            restricted_max_quantile(pool, np.eye(2, dtype=bool), 0.05)
 
 
 # 3 spans of 666, 667 and 667 rows; 13 spans, more threads than cores,

@@ -1,10 +1,22 @@
 import numpy as np
 import pytest
 
-from rankci.core import CenterSample, PairSet
+from rankci.core import CenterSample, rank_bounds_from_rejections
 from rankci.mcquantile import make_mc_pool
-from rankci.seqtukey import rank_bounds_from_rejections, sequential_tukey
-from rankci.tukey import tukey_rank_cis
+from rankci.seqtukey import sequential_tukey
+from rankci.tukey import tukey_rank_cis, tukey_rejected_pairs
+
+
+def mask(n, pairs):
+    """Boolean (n, n) mask holding the given (i, j) pairs."""
+    out = np.zeros((n, n), dtype=bool)
+    for i, j in pairs:
+        out[i, j] = True
+    return out
+
+
+def positive_mask(n):
+    return np.tril(np.ones((n, n), dtype=bool), -1)
 
 
 def random_instance(seed, n_lo=2, n_hi=10, pool_size=2_000):
@@ -20,25 +32,30 @@ def random_instance(seed, n_lo=2, n_hi=10, pool_size=2_000):
 
 class TestRankBoundsFromRejections:
     def test_no_rejections(self):
-        bounds = rank_bounds_from_rejections(PairSet(), 3)
+        bounds = rank_bounds_from_rejections(mask(3, []))
         assert [(b.lower, b.upper) for b in bounds] == [(1, 3)] * 3
 
     def test_all_positive_pairs_rejected(self):
-        bounds = rank_bounds_from_rejections(PairSet.positive_pairs(4), 4)
+        bounds = rank_bounds_from_rejections(positive_mask(4))
         assert [(b.lower, b.upper) for b in bounds] == [(i, i) for i in range(1, 5)]
 
     def test_bottom_separated(self):
-        rejected = PairSet(frozenset({(1, 0), (2, 0)}))
-        bounds = rank_bounds_from_rejections(rejected, 3)
+        bounds = rank_bounds_from_rejections(mask(3, [(1, 0), (2, 0)]))
         assert [(b.lower, b.upper) for b in bounds] == [(1, 1), (2, 3), (2, 3)]
 
     def test_rejects_negative_pair(self):
-        with pytest.raises(ValueError):
-            rank_bounds_from_rejections(PairSet(frozenset({(0, 1)})), 3)
+        # a pair on or above the diagonal, alone or beside positive ones
+        for pairs in ([(0, 1)], [(1, 0), (0, 2)], [(1, 0), (2, 2)]):
+            with pytest.raises(ValueError, match="lower-triangular"):
+                rank_bounds_from_rejections(mask(3, pairs))
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            rank_bounds_from_rejections(PairSet(frozenset({(5, 0)})), 3)
+        # a pair outside 0..n-1 has no entry in an (n, n) mask; any other
+        # shape is refused
+        for bad in (np.zeros((3, 4), dtype=bool), np.zeros(3, dtype=bool),
+                    np.zeros((2, 2, 2), dtype=bool)):
+            with pytest.raises(ValueError, match="square"):
+                rank_bounds_from_rejections(bad)
 
 
 class TestSequentialTukey:
@@ -56,7 +73,7 @@ class TestSequentialTukey:
         pool = make_mc_pool(s.sigma, 50_000, seed=2)
         cis, trace = sequential_tukey(s, 0.05, pool)
         assert trace.iterations == 1
-        assert len(trace.final_rejected) == 0
+        assert not trace.final_rejected.any()
         tuk = tukey_rank_cis(s, 0.05, pool)
         assert [(c.lower, c.upper) for c in cis.intervals] == [
             (c.lower, c.upper) for c in tuk.intervals
@@ -72,7 +89,7 @@ class TestSequentialTukey:
         cis, trace = sequential_tukey(s, 0.05, pool)
         assert [(c.lower, c.upper) for c in cis.intervals] == [(1, 2), (1, 3), (2, 3)]
         assert cis.iterations == 2
-        assert set(trace.final_rejected) == {(2, 0)}
+        assert np.array_equal(trace.final_rejected, mask(3, [(2, 0)]))
         assert abs(trace.critical_values[0] - 2.3437) < 0.01
         assert abs(trace.critical_values[1] - 2.2825) < 0.01
 
@@ -106,15 +123,15 @@ class TestSequentialTukey:
         assert all(qs[k + 1] <= qs[k] for k in range(len(qs) - 1))
 
         # rejected sets only grow; round one onward stays within positives
-        previous = PairSet()
+        previous = mask(n, [])
         for step in trace.steps:
-            assert previous.issubset(step.rejected_total)
-            assert step.newly_rejected.issubset(PairSet.positive_pairs(n))
+            assert np.all(~previous | step.rejected_total)
+            assert np.all(~step.newly_rejected | positive_mask(n))
             previous = step.rejected_total
 
         # strict growth until the final round
         for step in trace.steps[:-1]:
-            assert len(step.newly_rejected) > 0
+            assert step.newly_rejected.any()
 
         # termination bound: at most one round per positive pair, plus one
         assert trace.iterations <= n * (n - 1) // 2 + 1
@@ -128,16 +145,27 @@ class TestSequentialTukey:
         assert cis.is_nested_in(tuk)
 
         # round one makes exactly Tukey's rejections
-        from rankci.tukey import tukey_rejected_pairs
+        assert np.array_equal(trace.steps[0].newly_rejected, tukey_rejected_pairs(s, 0.05, pool))
 
-        assert set(trace.steps[0].newly_rejected) == set(
-            tukey_rejected_pairs(s, 0.05, pool)
-        )
+        # single-step Tukey is the rank bounds of its rejection mask
+        rebuilt = rank_bounds_from_rejections(tukey_rejected_pairs(s, 0.05, pool))
+        assert [(c.lower, c.upper) for c in tuk.intervals] == [
+            (b.lower, b.upper) for b in rebuilt
+        ]
+
+    def test_trace_masks_read_only(self):
+        s, pool = random_instance(123, n_lo=5, n_hi=9)
+        _, trace = sequential_tukey(s, 0.05, pool)
+        for step in trace.steps:
+            for rejected in (step.newly_rejected, step.rejected_total):
+                assert rejected.shape == (s.n, s.n)
+                with pytest.raises(ValueError):
+                    rejected[1, 0] = True
 
     def test_bounds_match_final_rejections(self):
         s, pool = random_instance(123, n_lo=5, n_hi=9)
         cis, trace = sequential_tukey(s, 0.05, pool)
-        rebuilt = rank_bounds_from_rejections(trace.final_rejected, s.n)
+        rebuilt = rank_bounds_from_rejections(trace.final_rejected)
         assert [(c.lower, c.upper) for c in cis.intervals] == [
             (b.lower, b.upper) for b in rebuilt
         ]
@@ -153,9 +181,9 @@ class TestSequentialTukey:
         _, trace = sequential_tukey(s, 0.05, pool)
         n = s.n
         assert trace.critical_values[0] == studentized_range_quantile(pool, 0.05)
-        positives = PairSet.positive_pairs(n)
-        negatives = PairSet.negative_pairs(n)
+        positives = positive_mask(n)
+        negatives = positives.T
         for k in range(1, trace.iterations):
-            remaining = positives.difference(trace.steps[k - 1].rejected_total)
-            expected = restricted_max_quantile(pool, remaining.union(negatives), 0.05)
+            remaining = positives & ~trace.steps[k - 1].rejected_total
+            expected = restricted_max_quantile(pool, remaining | negatives, 0.05)
             assert trace.critical_values[k] == expected

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rankci.core import CenterSample, PairSet
+from rankci.core import CenterSample
 from rankci.mcquantile import make_mc_pool, studentized_range_quantile
 from rankci.tukey import (
     DifferenceCI,
@@ -123,18 +123,22 @@ class TestRejectedPairs:
     def test_rejections_match_rank_cis(self):
         s, pool = sample_and_pool([0.0, 10.0, 10.1], [1.0, 1.0, 1.0])
         rejected = tukey_rejected_pairs(s, 0.05, pool)
-        assert set(rejected) == {(1, 0), (2, 0)}
+        assert rejected[1, 0] and rejected[2, 0]
+        assert np.count_nonzero(rejected) == 2
 
     def test_rejections_are_positive_pairs(self):
         rng = np.random.default_rng(3)
         s = CenterSample.from_observations(rng.normal(size=6), np.ones(6))
         pool = make_mc_pool(s.sigma, 2_000, seed=3)
         rejected = tukey_rejected_pairs(s, 0.05, pool)
-        assert rejected.issubset(PairSet.positive_pairs(6))
+        assert rejected.shape == (6, 6)
+        assert np.all(~rejected | np.tril(np.ones((6, 6), dtype=bool), -1))
+        with pytest.raises(ValueError):
+            rejected[1, 0] = True
 
     def test_strict_rejection_uses_shared_quantile(self):
         # a statistic below q never rejects; the same q feeds both helpers
         s, pool = sample_and_pool([0.0, 0.5], [1.0, 1.0], n_samples=1000)
         q = studentized_range_quantile(pool, 0.05)
         assert 0.5 / np.sqrt(2) < q
-        assert len(tukey_rejected_pairs(s, 0.05, pool)) == 0
+        assert not tukey_rejected_pairs(s, 0.05, pool).any()
