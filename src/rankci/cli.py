@@ -318,17 +318,21 @@ def _load_scenario(args) -> ScenarioConfig:
             sigma = [sigma] * len(mu)
         elif not _is_number_list(sigma):
             raise IngestError(f"scenario file {path}: 'sigma' must be a number or a list of numbers")
-        return ScenarioConfig(
-            mu=tuple(float(v) for v in mu),
-            sigma=tuple(float(s) for s in sigma),
-            alpha=float(spec.get("alpha", args.alpha)),
-            reps=int(spec.get("reps", args.reps)),
-            seed=int(spec.get("seed", args.seed)),
-            methods=tuple(spec.get("methods", methods)),
-            mc_samples=int(spec.get("mc_samples", args.mc_samples)),
-            boot=BootstrapConfig(n_boot=int(spec.get("n_boot", args.boot_samples))),
-            name=spec.get("name", path),
-        )
+        try:
+            return ScenarioConfig(
+                mu=tuple(float(v) for v in mu),
+                sigma=tuple(float(s) for s in sigma),
+                alpha=float(spec.get("alpha", args.alpha)),
+                reps=int(spec.get("reps", args.reps)),
+                seed=int(spec.get("seed", args.seed)),
+                methods=tuple(spec.get("methods", methods)),
+                mc_samples=int(spec.get("mc_samples", args.mc_samples)),
+                boot=BootstrapConfig(n_boot=int(spec.get("n_boot", args.boot_samples))),
+                name=spec.get("name", path),
+            )
+        except TypeError as exc:
+            # a null, list or object where a number or a list of names belongs
+            raise IngestError(f"scenario file {path}: {exc}") from exc
     raise IngestError(
         f"unknown scenario {args.scenario!r}; use one of "
         f"{sorted(PRESET_CENTERS)} or file:<path>"

@@ -250,8 +250,10 @@ class TestCmdSimulate:
         assert rc == 0
         assert "scenario mini" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("spec", [{"mu": 5}, {"mu": [1, 2], "sigma": None}, "mu"],
-                             ids=["scalar-mu", "null-sigma", "top-level-string"])
+    @pytest.mark.parametrize("spec", [
+        {"mu": 5}, {"mu": [1, 2], "sigma": None}, "mu",
+        {"mu": [1, 2], "alpha": None}, {"mu": [1, 2], "methods": 5},
+    ], ids=["scalar-mu", "null-sigma", "top-level-string", "null-alpha", "scalar-methods"])
     def test_malformed_scenario_file_exits_with_one_line(self, tmp_path, capsys, spec):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(spec))
