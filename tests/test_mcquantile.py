@@ -16,6 +16,7 @@ from rankci.mcquantile import (
     studentized_range_quantile,
 )
 
+
 def all_pairs(n):
     """Mask of every ordered pair over n centers."""
     return ~np.eye(n, dtype=bool)
