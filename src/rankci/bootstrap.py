@@ -7,6 +7,12 @@ on the pointwise level beta, for the narrowest family whose *estimated*
 joint coverage still clears 1 - alpha.  Deliberately, the same K draws are
 used both to build the intervals and to estimate their joint coverage; the
 method is reproduced faithfully, not repaired.
+
+The joint method never reads the Monte-Carlo pool, so the command line and
+the simulation harness run it in a thread of its own beside the pool fill
+and the Tukey kernels.  It draws, scales and ranks the K replicates a chunk
+of rows at a time and holds only the K x n ``int32`` rank matrix, never the
+K x n float draws.
 """
 
 import math
@@ -24,6 +30,9 @@ __all__ = [
     "spiegelhalter_pointwise",
     "zhang_simultaneous",
 ]
+
+#: Bootstrap replicates drawn, scaled and ranked at a time.
+_RANK_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -55,6 +64,15 @@ class ZhangResult:
     iterations: int
 
 
+def _type3_index(size: int, p: float) -> int:
+    """1-based order statistic that :func:`quantile_type3` picks among ``size`` values."""
+    nppm = size * p - 0.5
+    j = math.floor(nppm + 1e-9)
+    g = nppm - j
+    gamma = 0 if (abs(g) < 1e-9 and j % 2 == 0) else 1
+    return min(max(j + gamma, 1), size)
+
+
 def quantile_type3(sorted_values: np.ndarray, p: float) -> float:
     """Nearest-order-statistic quantile (SAS convention, R's ``type = 3``).
 
@@ -62,13 +80,7 @@ def quantile_type3(sorted_values: np.ndarray, p: float) -> float:
     ``nppm`` hits an even integer, else ``floor(nppm) + 1``, clamped to
     ``[1, n]`` (1-based).
     """
-    n = sorted_values.size
-    nppm = n * p - 0.5
-    j = math.floor(nppm + 1e-9)
-    g = nppm - j
-    gamma = 0 if (abs(g) < 1e-9 and j % 2 == 0) else 1
-    idx = min(max(j + gamma, 1), n)
-    return float(sorted_values[idx - 1])
+    return float(sorted_values[_type3_index(sorted_values.size, p) - 1])
 
 
 def make_bootstrap_draws(sample: CenterSample, cfg: BootstrapConfig) -> np.ndarray:
@@ -77,21 +89,49 @@ def make_bootstrap_draws(sample: CenterSample, cfg: BootstrapConfig) -> np.ndarr
     return rng.standard_normal((cfg.n_boot, sample.n)) * sample.sigma[None, :] + sample.y[None, :]
 
 
-def _rank_rows(draws: np.ndarray) -> np.ndarray:
-    """1-based rank of every entry within its row (ties broken by position)."""
-    k, n = draws.shape
-    ranks = np.empty((k, n), dtype=np.intp)
+def _rank_into(draws: np.ndarray, out: np.ndarray) -> None:
+    """Write the 1-based rank of each entry within its row into ``out`` (ties by position)."""
     order = np.argsort(draws, axis=1, kind="stable")
-    ranks[np.arange(k)[:, None], order] = np.arange(1, n + 1)[None, :]
+    positions = np.arange(1, draws.shape[1] + 1, dtype=out.dtype)
+    np.put_along_axis(out, order, positions[None, :], axis=1)
+
+
+def _rank_rows(draws: np.ndarray) -> np.ndarray:
+    """1-based ``int32`` rank of every entry within its row (ties broken by position)."""
+    ranks = np.empty(draws.shape, dtype=np.int32)
+    _rank_into(draws, ranks)
+    return ranks
+
+
+def _bootstrap_ranks(sample: CenterSample, cfg: BootstrapConfig) -> np.ndarray:
+    """``_rank_rows(make_bootstrap_draws(sample, cfg))``, built a chunk of rows at a time.
+
+    standard_normal fills its output in C order from one stream, so each
+    chunk holds the next rows of the K x n draw.  A chunk is scaled in place
+    by the same two operations, so every value, and every rank, is the same
+    bit for bit, while the K x n float matrix is never allocated.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    ranks = np.empty((cfg.n_boot, sample.n), dtype=np.int32)
+    chunk = np.empty((min(_RANK_CHUNK_ROWS, cfg.n_boot), sample.n))
+    for start in range(0, cfg.n_boot, _RANK_CHUNK_ROWS):
+        stop = min(start + _RANK_CHUNK_ROWS, cfg.n_boot)
+        rows = rng.standard_normal(out=chunk[: stop - start])
+        rows *= sample.sigma
+        rows += sample.y
+        _rank_into(rows, ranks[start:stop])
     return ranks
 
 
 def _interval_bounds(sorted_ranks: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-center [beta/2, 1-beta/2] rank quantiles from presorted ranks."""
-    n = sorted_ranks.shape[0]
-    lower = np.array([quantile_type3(sorted_ranks[i], beta / 2.0) for i in range(n)])
-    upper = np.array([quantile_type3(sorted_ranks[i], 1.0 - beta / 2.0) for i in range(n)])
-    return lower.astype(np.intp), upper.astype(np.intp)
+    """Per-center [beta/2, 1-beta/2] rank quantiles from presorted ranks.
+
+    Every row holds the same K ranks, so one order-statistic index serves
+    every center and each bound is one column.
+    """
+    k = sorted_ranks.shape[1]
+    return (sorted_ranks[:, _type3_index(k, beta / 2.0) - 1],
+            sorted_ranks[:, _type3_index(k, 1.0 - beta / 2.0) - 1])
 
 
 def spiegelhalter_pointwise(sample: CenterSample, beta: float,
@@ -134,7 +174,8 @@ def zhang_simultaneous(sample: CenterSample, alpha: float,
     Bisects beta over (0, alpha]: when the estimated joint coverage of the
     pointwise family at level beta clears ``1 - alpha`` the bracket moves up
     (narrower intervals), otherwise down.  One K x n draw matrix serves both
-    interval construction and coverage estimation.  If the final candidate
+    interval construction and coverage estimation; it is ranked a chunk of
+    rows at a time and never held as floats.  If the final candidate
     under-covers, beta falls back to the last feasible bracket end, so the
     reported coverage is at least ``1 - alpha`` whenever that fallback fires.
 
@@ -143,8 +184,7 @@ def zhang_simultaneous(sample: CenterSample, alpha: float,
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    draws = make_bootstrap_draws(sample, cfg)
-    ranks = _rank_rows(draws)
+    ranks = _bootstrap_ranks(sample, cfg)
     sorted_ranks = np.sort(ranks.T, axis=1)
 
     def coverage_at(beta: float) -> float:

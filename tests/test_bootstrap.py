@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from rankci import bootstrap
 from rankci.bootstrap import (
     BootstrapConfig,
+    _bootstrap_ranks,
+    _interval_bounds,
+    _rank_rows,
     make_bootstrap_draws,
     quantile_type3,
     spiegelhalter_pointwise,
@@ -30,6 +34,51 @@ class TestQuantileType3:
         x = np.array([1.0, 10.0, 100.0])
         for p in np.linspace(0, 1, 23):
             assert quantile_type3(x, p) in x
+
+
+class TestIntervalBounds:
+    @pytest.mark.parametrize("k", [1, 2, 37, 1000])
+    def test_one_column_per_bound_matches_per_row_quantiles(self, k):
+        rng = np.random.default_rng(k)
+        sorted_ranks = np.sort(rng.integers(1, 9, size=(8, k), dtype=np.int32), axis=1)
+        for beta in (1e-12, 1e-4, 0.01, 0.05, 0.2, 0.5, 0.9, 1 - 1e-12):
+            lower, upper = _interval_bounds(sorted_ranks, beta)
+            assert lower.tolist() == [quantile_type3(row, beta / 2) for row in sorted_ranks]
+            assert upper.tolist() == [quantile_type3(row, 1 - beta / 2) for row in sorted_ranks]
+
+    def test_tiny_beta_clamps_to_the_extremes(self):
+        sorted_ranks = np.sort(np.random.default_rng(0).integers(1, 9, size=(8, 50)), axis=1)
+        lower, upper = _interval_bounds(sorted_ranks, 1e-12)
+        assert np.array_equal(lower, sorted_ranks[:, 0])
+        assert np.array_equal(upper, sorted_ranks[:, -1])
+
+
+class TestChunkedRanks:
+    @pytest.mark.parametrize("n, k", [(5, 23), (5, 21), (5, 4), (1, 10), (1, 23)],
+                             ids=["partial-last-chunk", "whole-chunks", "below-one-chunk",
+                                  "one-center", "one-center-partial-chunk"])
+    def test_equals_ranks_of_the_full_draw(self, monkeypatch, n, k):
+        monkeypatch.setattr(bootstrap, "_RANK_CHUNK_ROWS", 7)
+        rng = np.random.default_rng(n * 100 + k)
+        s = CenterSample.from_observations(rng.normal(size=n), rng.uniform(0.5, 1.5, n))
+        cfg = BootstrapConfig(n_boot=k, seed=k)
+        chunked = _bootstrap_ranks(s, cfg)
+        full = _rank_rows(make_bootstrap_draws(s, cfg))
+        assert chunked.dtype == full.dtype == np.int32
+        assert np.array_equal(chunked, full)
+
+    def test_default_chunk_size_with_a_partial_last_chunk(self):
+        s = CenterSample.from_observations(NEAR_TIED, [1.0] * 10)
+        cfg = BootstrapConfig(n_boot=bootstrap._RANK_CHUNK_ROWS * 2 + 3, seed=1)
+        assert np.array_equal(_bootstrap_ranks(s, cfg), _rank_rows(make_bootstrap_draws(s, cfg)))
+
+    def test_chunk_size_leaves_the_joint_result_unchanged(self, monkeypatch):
+        s = CenterSample.from_observations(NEAR_TIED, [1.0] * 10)
+        cfg = BootstrapConfig(n_boot=2000, seed=3)
+        whole = zhang_simultaneous(s, 0.05, cfg)
+        monkeypatch.setattr(bootstrap, "_RANK_CHUNK_ROWS", 7)
+        chunked = zhang_simultaneous(s, 0.05, cfg)
+        assert chunked == whole
 
 
 class TestSpiegelhalterPointwise:
