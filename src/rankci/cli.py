@@ -8,6 +8,7 @@ flags and seed reproduces the bytes exactly.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -19,7 +20,7 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig, zhang_simultaneous
 from .core import CenterSample
-from .mcquantile import DEFAULT_MC_SAMPLES, make_mc_pool
+from .mcquantile import DEFAULT_MC_SAMPLES, _in_background, make_mc_pool
 from .rankability import rankability_estimate
 from .seqtukey import sequential_tukey
 from .simharness import (
@@ -124,36 +125,46 @@ def ingest_estimates(path: str) -> CenterSample:
 
 
 def _run_methods(sample: CenterSample, methods, alpha, mc_samples, boot_samples, seed):
-    """Run the requested estimators; rankability at alpha and at 0.5."""
-    pool = None
-    if "tukey" in methods or "seqtukey" in methods:
-        pool = make_mc_pool(sample.sigma, mc_samples, seed=_child_seed(seed, 2))
-    out = {}
-    for m in methods:
-        entry = {}
-        if m == "tukey":
-            cis = tukey_rank_cis(sample, alpha, pool)
-            cis_half = tukey_rank_cis(sample, 0.5, pool)
-        elif m == "seqtukey":
-            cis, trace = sequential_tukey(sample, alpha, pool)
-            cis_half, _ = sequential_tukey(sample, 0.5, pool)
-            entry["iterations"] = cis.iterations
-            entry["trace"] = trace
-        elif m == "zhang":
-            bcfg = BootstrapConfig(n_boot=boot_samples, seed=_child_seed(seed, 3))
-            res = zhang_simultaneous(sample, alpha, bcfg)
-            cis = res.cis
-            cis_half = zhang_simultaneous(sample, 0.5, bcfg).cis
-            entry["achieved_coverage"] = res.achieved_coverage
-            entry["beta_final"] = res.beta_final
-            entry["converged"] = res.converged
-        else:
-            raise ValueError(f"unknown method {m!r}")
-        entry["cis"] = cis
-        if sample.n >= 2:
-            entry["rankability"] = rankability_estimate(cis)
-            entry["rankability_midlevel"] = rankability_estimate(cis_half).value
-        out[m] = entry
+    """Run the requested estimators; rankability at alpha and at 0.5.
+
+    The bootstrap never reads the Monte-Carlo pool, so both of its levels
+    run in a thread of their own, started before the pool fill and joined
+    where its intervals are needed.
+    """
+    bootstrap = contextlib.nullcontext()
+    if "zhang" in methods:
+        bcfg = BootstrapConfig(n_boot=boot_samples, seed=_child_seed(seed, 3))
+        bootstrap = _in_background(lambda: (zhang_simultaneous(sample, alpha, bcfg),
+                                            zhang_simultaneous(sample, 0.5, bcfg)))
+    with bootstrap as join_bootstrap:
+        pool = None
+        if "tukey" in methods or "seqtukey" in methods:
+            pool = make_mc_pool(sample.sigma, mc_samples, seed=_child_seed(seed, 2))
+        out = {}
+        for m in methods:
+            entry = {}
+            if m == "tukey":
+                cis = tukey_rank_cis(sample, alpha, pool)
+                cis_half = tukey_rank_cis(sample, 0.5, pool)
+            elif m == "seqtukey":
+                cis, trace = sequential_tukey(sample, alpha, pool)
+                cis_half, _ = sequential_tukey(sample, 0.5, pool)
+                entry["iterations"] = cis.iterations
+                entry["trace"] = trace
+            elif m == "zhang":
+                res, res_half = join_bootstrap()
+                cis = res.cis
+                cis_half = res_half.cis
+                entry["achieved_coverage"] = res.achieved_coverage
+                entry["beta_final"] = res.beta_final
+                entry["converged"] = res.converged
+            else:
+                raise ValueError(f"unknown method {m!r}")
+            entry["cis"] = cis
+            if sample.n >= 2:
+                entry["rankability"] = rankability_estimate(cis)
+                entry["rankability_midlevel"] = rankability_estimate(cis_half).value
+            out[m] = entry
     return out
 
 

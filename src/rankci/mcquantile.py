@@ -17,6 +17,8 @@ over the same pairs in the same order, so no result depends on the number of
 cores.
 """
 
+import contextlib
+import functools
 import os
 import threading
 from dataclasses import dataclass, field
@@ -168,6 +170,38 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
+def _in_background(fn):
+    """Run ``fn()`` in a thread of its own while the ``with`` body runs.
+
+    Yields ``join``, which waits for the thread and returns what ``fn``
+    returned, or re-raises what it raised.  The thread is joined on leaving
+    the block however the block ends, so it never outlives the block; an
+    exception raised in the body propagates in place of one from ``fn``.
+    """
+    outcome = {}
+
+    def run():
+        try:
+            outcome["result"] = fn()
+        except Exception as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+
+    def join():
+        thread.join()
+        if "error" in outcome:
+            raise outcome["error"]
+        return outcome["result"]
+
+    try:
+        yield join
+    finally:
+        thread.join()
+
+
 def _over_row_spans(n_rows: int, kernel) -> None:
     """Run ``kernel(start, stop)`` on contiguous spans covering ``range(n_rows)``.
 
@@ -179,24 +213,12 @@ def _over_row_spans(n_rows: int, kernel) -> None:
     """
     spans = max(1, min(_usable_cores(), n_rows // _MIN_SPAN_ROWS))
     bounds = [n_rows * k // spans for k in range(spans + 1)]
-    errors = []
-
-    def run(start, stop):
-        try:
-            kernel(start, stop)
-        except Exception as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=span) for span in zip(bounds[1:-1], bounds[2:])]
-    for thread in threads:
-        thread.start()
-    try:
+    with contextlib.ExitStack() as stack:
+        joins = [stack.enter_context(_in_background(functools.partial(kernel, *span)))
+                 for span in zip(bounds[1:-1], bounds[2:])]
         kernel(bounds[0], bounds[1])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+        for join in joins:
+            join()
 
 
 def _standardized_diffs(pool: McPool, i_idx, j_idx, start: int, stop: int):

@@ -13,6 +13,7 @@ coincides with the normative one when the configured centers are distinct
 and listed in ascending order.
 """
 
+import contextlib
 import dataclasses
 from dataclasses import dataclass, field
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig, zhang_simultaneous
 from .core import CenterSample, SimultaneousRankCIs, true_set_ranks, truth_partition
-from .mcquantile import DEFAULT_MC_SAMPLES, make_mc_pool
+from .mcquantile import DEFAULT_MC_SAMPLES, _in_background, make_mc_pool
 from .rankability import rankability_estimate, rankability_true
 from .seqtukey import sequential_tukey
 from .tukey import tukey_rank_cis, tukey_rejected_pairs
@@ -209,6 +210,33 @@ def _covered_index(cis: SimultaneousRankCIs, index_targets: np.ndarray) -> bool:
     return all(ci.contains_rank(int(t)) for ci, t in zip(cis.intervals, index_targets))
 
 
+def _run_pool_methods(cfg: ScenarioConfig, sample: CenterSample, r: int):
+    """Tukey and seqtukey intervals of replicate r, and their rejected-pair masks."""
+    pool = None
+    if "tukey" in cfg.methods or "seqtukey" in cfg.methods:
+        pool = make_mc_pool(
+            sample.sigma, cfg.mc_samples, seed=_child_seed(cfg.seed, r, _TAG_POOL)
+        )
+
+    results: dict[str, SimultaneousRankCIs] = {}
+    rejections: dict[str, object] = {}
+    if "seqtukey" in cfg.methods:
+        cis_s, trace = sequential_tukey(sample, cfg.alpha, pool)
+        results["seqtukey"] = cis_s
+        rejections["seqtukey"] = trace.final_rejected
+        if "tukey" in cfg.methods:
+            results["tukey"] = tukey_rank_cis(sample, cfg.alpha, pool)
+            # round one of the sequential procedure makes exactly the
+            # single-step rejections on a shared pool
+            rejections["tukey"] = (
+                trace.steps[0].newly_rejected if trace.steps else None
+            )
+    elif "tukey" in cfg.methods:
+        results["tukey"] = tukey_rank_cis(sample, cfg.alpha, pool)
+        rejections["tukey"] = tukey_rejected_pairs(sample, cfg.alpha, pool)
+    return results, rejections
+
+
 def run_coverage(cfg: ScenarioConfig) -> CoverageReport:
     """Run a scenario and score simultaneous coverage per method.
 
@@ -249,31 +277,15 @@ def run_coverage(cfg: ScenarioConfig) -> CoverageReport:
         )
         index_targets = sample.order + 1
 
-        pool = None
-        if "tukey" in cfg.methods or "seqtukey" in cfg.methods:
-            pool = make_mc_pool(
-                sample.sigma, cfg.mc_samples, seed=_child_seed(cfg.seed, r, _TAG_POOL)
-            )
-
-        results: dict[str, SimultaneousRankCIs] = {}
-        rejections: dict[str, object] = {}
-        if "seqtukey" in cfg.methods:
-            cis_s, trace = sequential_tukey(sample, cfg.alpha, pool)
-            results["seqtukey"] = cis_s
-            rejections["seqtukey"] = trace.final_rejected
-            if "tukey" in cfg.methods:
-                results["tukey"] = tukey_rank_cis(sample, cfg.alpha, pool)
-                # round one of the sequential procedure makes exactly the
-                # single-step rejections on a shared pool
-                rejections["tukey"] = (
-                    trace.steps[0].newly_rejected if trace.steps else None
-                )
-        elif "tukey" in cfg.methods:
-            results["tukey"] = tukey_rank_cis(sample, cfg.alpha, pool)
-            rejections["tukey"] = tukey_rejected_pairs(sample, cfg.alpha, pool)
+        bootstrap = contextlib.nullcontext()
         if "zhang" in cfg.methods:
+            # the bootstrap never reads the pool: run it beside the pool work
             bcfg = dataclasses.replace(cfg.boot, seed=_child_seed(cfg.seed, r, _TAG_BOOT))
-            results["zhang"] = zhang_simultaneous(sample, cfg.alpha, bcfg).cis
+            bootstrap = _in_background(lambda: zhang_simultaneous(sample, cfg.alpha, bcfg))
+        with bootstrap as join_bootstrap:
+            results, rejections = _run_pool_methods(cfg, sample, r)
+            if "zhang" in cfg.methods:
+                results["zhang"] = join_bootstrap().cis
 
         if both_tested and not results["seqtukey"].is_nested_in(results["tukey"]):
             nested_violations += 1

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import re
+import threading
 
 import pytest
 
+from rankci.bootstrap import zhang_simultaneous
 from rankci.cli import IngestError, ingest_estimates, main
 from rankci.core import CenterSample
 from rankci.mcquantile import make_mc_pool, studentized_range_quantile
@@ -224,6 +226,48 @@ class TestCmdRank:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:") and "--mc-samples" in err[0]
+
+
+class TestBootstrapBesidePool:
+    """``rank --method all`` runs the bootstrap in a thread beside the pool work."""
+
+    def _one_error_line(self, argv, capsys):
+        threads_before = threading.active_count()
+        assert main(argv) == 2
+        assert threading.active_count() == threads_before
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        return err[0]
+
+    def test_bootstrap_failure_exits_with_one_line(self, estimates_file, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("bootstrap broke")
+
+        monkeypatch.setattr("rankci.cli.zhang_simultaneous", broken)
+        line = self._one_error_line(["rank", "--input", estimates_file, "--method", "all",
+                                     "--mc-samples", "2000", "--boot-samples", "500"], capsys)
+        assert "bootstrap broke" in line
+
+    def test_pool_refused_while_bootstrap_runs(self, estimates_file, monkeypatch, capsys):
+        finished = threading.Event()
+
+        def recorded(*args, **kwargs):
+            result = zhang_simultaneous(*args, **kwargs)
+            finished.set()
+            return result
+
+        monkeypatch.setattr("rankci.cli.zhang_simultaneous", recorded)
+        line = self._one_error_line(["rank", "--input", estimates_file, "--method", "all",
+                                     "--mc-samples", str(10**13)], capsys)
+        assert "--mc-samples" in line
+        # the refusal waited for the bootstrap thread before main returned
+        assert finished.is_set()
+
+    def test_alpha_out_of_range_raises_on_both_threads(self, estimates_file, capsys):
+        line = self._one_error_line(["rank", "--input", estimates_file, "--method", "all",
+                                     "--mc-samples", "2000", "--boot-samples", "500",
+                                     "--alpha", "1.5"], capsys)
+        assert "alpha" in line
 
 
 class TestCmdSimulate:

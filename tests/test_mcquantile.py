@@ -1,6 +1,8 @@
 import hashlib
 import os
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -302,3 +304,28 @@ class TestRowSpans:
 
         with pytest.raises(RuntimeError, match="span at row"):
             mcquantile._over_row_spans(2_000, kernel)
+
+
+class TestInBackground:
+    def test_join_returns_the_result(self):
+        with mcquantile._in_background(lambda: 42) as join:
+            assert join() == 42
+
+    def test_join_reraises_the_thread_exception(self):
+        def broken():
+            raise RuntimeError("in the thread")
+
+        with pytest.raises(RuntimeError, match="in the thread"):
+            with mcquantile._in_background(broken) as join:
+                join()
+
+    def test_body_exception_wins_and_thread_is_joined(self):
+        def slow_broken():
+            time.sleep(0.05)
+            raise RuntimeError("in the thread")
+
+        threads_before = threading.active_count()
+        with pytest.raises(ValueError, match="in the body"):
+            with mcquantile._in_background(slow_broken):
+                raise ValueError("in the body")
+        assert threading.active_count() == threads_before

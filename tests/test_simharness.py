@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,16 @@ class TestRunCoverage:
         report = run_coverage(cfg)
         for stats in report.methods.values():
             assert stats.coverage_rate in (0.0, 1.0)
+
+    def test_bootstrap_failure_reraises(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("bootstrap broke")
+
+        monkeypatch.setattr("rankci.simharness.zhang_simultaneous", broken)
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError, match="bootstrap broke"):
+            run_coverage(quick_scenario([0.0, 1.0, 2.0], reps=2))
+        assert threading.active_count() == threads_before
 
 
 class TestRunComparison:
