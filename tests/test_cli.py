@@ -411,6 +411,20 @@ class TestGoldenBytes:
         assert _sha256(_masked_stdout(capsys)) == self.SIMULATE_TABLE_SHA256
         assert _sha256(out_file.read_bytes()) == self.SIMULATE_TSV_SHA256
 
+    @pytest.mark.parametrize("methods, expected", [
+        # tukey alone scores false rejections through tukey_rejected_pairs
+        ("tukey", "cc2b94d23aaa8f0c8a2b99d837da52c7ad88f8e6b96748402736980610dd2059"),
+        ("seqtukey", "3d25ece2c19b31797d61e1be0d6417f20803ae07267f6e40b55d175ab59e2123"),
+        ("zhang", "c03570c1f1b57e8fb80cd18bd52203f3c35453da6cc165f740489ec8c7b74d94"),
+        ("tukey,zhang", "216711d4b8be2a4648a87b33669c66e88fa2aa16023814e793ef291a017b3492"),
+    ])
+    def test_simulate_paper2_json_method_subsets(self, tmp_path, capsys, methods, expected):
+        out_file = tmp_path / "sim.json"
+        rc = main(GOLDEN_SIMULATE_ARGS + ["--methods", methods,
+                                          "--out", "json", "--out-file", str(out_file)])
+        assert rc == 0
+        assert _sha256(out_file.read_bytes()) == expected
+
 
 class TestCriticalValueBits:
     """Critical values as exact float bits; the golden outputs print no critical value."""
