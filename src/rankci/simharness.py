@@ -16,11 +16,12 @@ and listed in ascending order.
 import contextlib
 import dataclasses
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .bootstrap import BootstrapConfig, zhang_simultaneous
-from .core import CenterSample, SimultaneousRankCIs, true_set_ranks, truth_partition
+from .core import CenterSample, true_set_ranks, truth_partition
 from .mcquantile import DEFAULT_MC_SAMPLES, _in_background, make_mc_pool
 from .rankability import rankability_estimate, rankability_true
 from .seqtukey import sequential_tukey
@@ -152,7 +153,6 @@ class CoverageReport:
     """Aggregated outcome of a scenario run."""
 
     scenario: ScenarioConfig
-    criterion: str
     methods: dict = field(default_factory=dict)
     nestedness_violations: int | None = None
     true_rankability: float | None = None
@@ -171,7 +171,7 @@ class CoverageReport:
                 "mc_samples": self.scenario.mc_samples,
                 "n_boot": self.scenario.boot.n_boot,
             },
-            "criterion": self.criterion,
+            "criterion": "set-rank",
             "true_rankability": self.true_rankability,
             "nestedness_violations": self.nestedness_violations,
             "methods": {m: _nan_to_none(s.summary()) for m, s in self.methods.items()},
@@ -181,7 +181,7 @@ class CoverageReport:
         head = (
             f"scenario {self.scenario.name}: n={self.scenario.n}, "
             f"alpha={self.scenario.alpha:g}, reps={self.scenario.reps}, "
-            f"criterion={self.criterion}"
+            "criterion=set-rank"
         )
         if self.true_rankability is not None:
             head += f", true rankability={self.true_rankability:.3f}"
@@ -202,39 +202,72 @@ class CoverageReport:
         return "\n".join(lines)
 
 
-def _covered(cis: SimultaneousRankCIs, sorted_set_ranks) -> bool:
-    return all(ci.contains_set_rank(sr) for ci, sr in zip(cis.intervals, sorted_set_ranks))
+class _Outcome(NamedTuple):
+    """One method's score on one replicate, in the field order of MethodStats."""
+
+    covered_set_rank: bool
+    covered_index: bool
+    mean_width: float
+    rankability: float
+    false_rejection: bool | None
 
 
-def _covered_index(cis: SimultaneousRankCIs, index_targets: np.ndarray) -> bool:
-    return all(ci.contains_rank(int(t)) for ci, t in zip(cis.intervals, index_targets))
+def _run_replicate(cfg: ScenarioConfig, r: int, set_ranks=None):
+    """Draw replicate r's sample, run the requested methods and score each.
 
+    Returns ``({method: _Outcome}, nested)``, where ``nested`` is False only
+    when seqtukey's intervals are not nested in Tukey's.  The result depends
+    on ``(cfg, r)`` alone: every draw seeds from ``(cfg.seed, r, tag)``.
+    ``set_ranks`` are the true set-ranks of ``cfg.mu``, computed when not
+    given.  The bootstrap never reads the pool, so it runs in a thread
+    beside the pool work.
+    """
+    mu, sigma = np.asarray(cfg.mu), np.asarray(cfg.sigma)
+    if set_ranks is None:
+        set_ranks = true_set_ranks(mu)
+    data_rng = np.random.default_rng(_child_seed(cfg.seed, r, _TAG_DATA))
+    sample = CenterSample.from_observations(mu + sigma * data_rng.standard_normal(cfg.n), sigma)
 
-def _run_pool_methods(cfg: ScenarioConfig, sample: CenterSample, r: int):
-    """Tukey and seqtukey intervals of replicate r, and their rejected-pair masks."""
-    pool = None
-    if "tukey" in cfg.methods or "seqtukey" in cfg.methods:
-        pool = make_mc_pool(
-            sample.sigma, cfg.mc_samples, seed=_child_seed(cfg.seed, r, _TAG_POOL)
-        )
-
-    results: dict[str, SimultaneousRankCIs] = {}
-    rejections: dict[str, object] = {}
-    if "seqtukey" in cfg.methods:
-        cis_s, trace = sequential_tukey(sample, cfg.alpha, pool)
-        results["seqtukey"] = cis_s
-        rejections["seqtukey"] = trace.final_rejected
+    bootstrap = contextlib.nullcontext()
+    if "zhang" in cfg.methods:
+        bcfg = dataclasses.replace(cfg.boot, seed=_child_seed(cfg.seed, r, _TAG_BOOT))
+        bootstrap = _in_background(lambda: zhang_simultaneous(sample, cfg.alpha, bcfg))
+    results, rejections = {}, {}
+    with bootstrap as join_bootstrap:
+        if "tukey" in cfg.methods or "seqtukey" in cfg.methods:
+            pool = make_mc_pool(sample.sigma, cfg.mc_samples,
+                                seed=_child_seed(cfg.seed, r, _TAG_POOL))
+        if "seqtukey" in cfg.methods:
+            results["seqtukey"], trace = sequential_tukey(sample, cfg.alpha, pool)
+            rejections["seqtukey"] = trace.final_rejected
         if "tukey" in cfg.methods:
             results["tukey"] = tukey_rank_cis(sample, cfg.alpha, pool)
-            # round one of the sequential procedure makes exactly the
-            # single-step rejections on a shared pool
-            rejections["tukey"] = (
-                trace.steps[0].newly_rejected if trace.steps else None
-            )
-    elif "tukey" in cfg.methods:
-        results["tukey"] = tukey_rank_cis(sample, cfg.alpha, pool)
-        rejections["tukey"] = tukey_rejected_pairs(sample, cfg.alpha, pool)
-    return results, rejections
+            if "seqtukey" in cfg.methods:
+                # round one of the sequential procedure makes exactly the
+                # single-step rejections on a shared pool
+                rejections["tukey"] = trace.steps[0].newly_rejected if trace.steps else None
+            else:
+                rejections["tukey"] = tukey_rejected_pairs(sample, cfg.alpha, pool)
+        if "zhang" in cfg.methods:
+            results["zhang"] = join_bootstrap().cis
+
+    # a rejected pair (i, j) claims mu_i > mu_j; it is a false rejection
+    # when the one-sided hypothesis mu_i <= mu_j was true
+    true_mask, _ = truth_partition(mu[sample.order])
+    outcomes = {}
+    for m in cfg.methods:
+        intervals = list(zip(results[m].intervals, sample.order.tolist()))
+        rejected = rejections.get(m)
+        outcomes[m] = _Outcome(
+            covered_set_rank=all(ci.contains_set_rank(set_ranks[k]) for ci, k in intervals),
+            covered_index=all(ci.contains_rank(k + 1) for ci, k in intervals),
+            mean_width=float(results[m].widths().mean()),
+            rankability=rankability_estimate(results[m]).value if cfg.n >= 2 else np.nan,
+            false_rejection=(None if m == "zhang"
+                             else rejected is not None and bool(np.any(rejected & true_mask))),
+        )
+    both_tested = "tukey" in results and "seqtukey" in results
+    return outcomes, not both_tested or results["seqtukey"].is_nested_in(results["tukey"])
 
 
 def run_coverage(cfg: ScenarioConfig) -> CoverageReport:
@@ -244,87 +277,22 @@ def run_coverage(cfg: ScenarioConfig) -> CoverageReport:
     subset of its interval.  For tukey/seqtukey the report also tracks the
     rate of replicates with at least one falsely rejected pair, and when
     both run, counts seqtukey intervals not nested in Tukey's (exactly zero
-    by construction).
+    by construction).  Replicates run one at a time, in order.
     """
-    n = cfg.n
-    mu = np.asarray(cfg.mu)
-    sigma = np.asarray(cfg.sigma)
-    input_set_ranks = true_set_ranks(mu) if n >= 2 else None
-    reps = cfg.reps
-
-    per_method = {
-        m: {
-            "covered": np.zeros(reps, dtype=bool),
-            "covered_index": np.zeros(reps, dtype=bool),
-            "mean_width": np.full(reps, np.nan),
-            "rankability": np.full(reps, np.nan),
-            "false_rejection": np.zeros(reps, dtype=bool) if m != "zhang" else None,
-        }
-        for m in cfg.methods
-    }
-    both_tested = "tukey" in cfg.methods and "seqtukey" in cfg.methods
-    nested_violations = 0 if both_tested else None
-
-    for r in range(reps):
-        data_rng = np.random.default_rng(_child_seed(cfg.seed, r, _TAG_DATA))
-        y = mu + sigma * data_rng.standard_normal(n)
-        sample = CenterSample.from_observations(y, sigma)
-        # a rejected pair (i, j) claims mu_i > mu_j; it is a false rejection
-        # when the one-sided hypothesis mu_i <= mu_j was true
-        true_mask, _ = truth_partition(mu[sample.order])
-        sorted_set_ranks = (
-            [input_set_ranks[k] for k in sample.order] if input_set_ranks else None
-        )
-        index_targets = sample.order + 1
-
-        bootstrap = contextlib.nullcontext()
-        if "zhang" in cfg.methods:
-            # the bootstrap never reads the pool: run it beside the pool work
-            bcfg = dataclasses.replace(cfg.boot, seed=_child_seed(cfg.seed, r, _TAG_BOOT))
-            bootstrap = _in_background(lambda: zhang_simultaneous(sample, cfg.alpha, bcfg))
-        with bootstrap as join_bootstrap:
-            results, rejections = _run_pool_methods(cfg, sample, r)
-            if "zhang" in cfg.methods:
-                results["zhang"] = join_bootstrap().cis
-
-        if both_tested and not results["seqtukey"].is_nested_in(results["tukey"]):
-            nested_violations += 1
-
-        for m in cfg.methods:
-            cis = results[m]
-            rec = per_method[m]
-            if sorted_set_ranks is not None:
-                rec["covered"][r] = _covered(cis, sorted_set_ranks)
-            else:
-                rec["covered"][r] = True
-            rec["covered_index"][r] = _covered_index(cis, index_targets)
-            rec["mean_width"][r] = float(cis.widths().mean())
-            if n >= 2:
-                rec["rankability"][r] = rankability_estimate(cis).value
-            if rec["false_rejection"] is not None:
-                rejected = rejections.get(m)
-                if rejected is not None:
-                    rec["false_rejection"][r] = bool(np.any(rejected & true_mask))
-
-    report = CoverageReport(
-        scenario=cfg,
-        criterion="set-rank",
-        nestedness_violations=nested_violations,
-        true_rankability=(
-            rankability_true(input_set_ranks) if input_set_ranks else None
-        ),
-    )
+    set_ranks = true_set_ranks(np.asarray(cfg.mu))
+    runs = [_run_replicate(cfg, r, set_ranks) for r in range(cfg.reps)]
+    methods = {}
     for m in cfg.methods:
-        rec = per_method[m]
-        report.methods[m] = MethodStats(
-            method=m,
-            covered_set_rank=rec["covered"],
-            covered_index=rec["covered_index"],
-            mean_width=rec["mean_width"],
-            rankability=rec["rankability"],
-            false_rejection=rec["false_rejection"],
-        )
-    return report
+        columns = zip(*(outcomes[m] for outcomes, _ in runs))
+        methods[m] = MethodStats(m, *(None if col[0] is None else np.array(col)
+                                      for col in columns))
+    both_tested = "tukey" in cfg.methods and "seqtukey" in cfg.methods
+    return CoverageReport(
+        scenario=cfg,
+        methods=methods,
+        nestedness_violations=sum(not nested for _, nested in runs) if both_tested else None,
+        true_rankability=rankability_true(set_ranks) if cfg.n >= 2 else None,
+    )
 
 
 def preset_scenario(name: str, *, reps: int = 100, alpha: float = 0.05,

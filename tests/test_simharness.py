@@ -7,6 +7,7 @@ from rankci.bootstrap import BootstrapConfig
 from rankci.simharness import (
     PRESET_CENTERS,
     ScenarioConfig,
+    _run_replicate,
     comparison_scenario,
     preset_scenario,
     run_coverage,
@@ -155,6 +156,16 @@ class TestRunCoverage:
         with pytest.raises(RuntimeError, match="bootstrap broke"):
             run_coverage(quick_scenario([0.0, 1.0, 2.0], reps=2))
         assert threading.active_count() == threads_before
+
+    def test_replicates_do_not_depend_on_call_order(self):
+        cfg = quick_scenario([0.0, 0.4, 0.9, 3.0], reps=4)
+        forward = [_run_replicate(cfg, r) for r in range(cfg.reps)]
+        backward = [_run_replicate(cfg, r) for r in reversed(range(cfg.reps))]
+        assert forward == backward[::-1]
+        report = run_coverage(cfg)
+        for m in cfg.methods:
+            assert report.methods[m].mean_width.tolist() == [
+                outcomes[m].mean_width for outcomes, _ in forward]
 
 
 class TestRunComparison:
