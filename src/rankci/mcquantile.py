@@ -154,12 +154,23 @@ def empirical_quantile(values: np.ndarray, alpha: float) -> float:
 
     This convention never falls below the conventional empirical quantile,
     and it is deterministic, which keeps the monotonicity arguments exact.
+
+    Raises
+    ------
+    ValueError
+        If ``alpha`` is not in (0, 1), or if the index reaches N: the
+        quantile would be the maximum, with no value above it, so the level
+        is not resolved.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     n = values.size
     k = int(np.ceil((1.0 - alpha) * n))
-    k = min(max(k, 1), n)
+    if k >= n:
+        raise ValueError(
+            f"alpha={alpha:g} is too small for N={n} Monte-Carlo samples: the critical "
+            f"value would be the pool maximum; use a larger --mc-samples (alpha * N >= 1)"
+        )
     return float(np.partition(values, k - 1)[k - 1])
 
 

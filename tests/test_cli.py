@@ -228,6 +228,31 @@ class TestCmdRank:
         assert err[0].startswith("error:") and "--mc-samples" in err[0]
 
 
+class TestUnresolvedLevel:
+    """A level whose order statistic is the pool maximum is refused, not printed."""
+
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--alpha", "1e-5", "--method", "all"],
+        ["simulate", "--scenario", "paper2", "--reps", "2", "--alpha", "1e-4"],
+    ], ids=["rank", "simulate"])
+    def test_exits_with_one_line(self, estimates_file, argv, capsys):
+        if argv[0] == "rank":
+            argv = argv + ["--input", estimates_file]
+        threads_before = threading.active_count()
+        assert main(argv + ["--mc-samples", "1000", "--boot-samples", "500"]) == 2
+        assert threading.active_count() == threads_before
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "N=1000" in err[0] and "--mc-samples" in err[0]
+
+    def test_alpha_times_n_of_one_runs(self, estimates_file, capsys):
+        assert main(["rank", "--input", estimates_file, "--alpha", "0.001",
+                     "--mc-samples", "1000"]) == 0
+        assert "99.9% CI" in capsys.readouterr().out
+
+
 class TestBootstrapBesidePool:
     """``rank --method all`` runs the bootstrap in a thread beside the pool work."""
 

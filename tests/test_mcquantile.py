@@ -121,6 +121,17 @@ class TestStudentizedRangeQuantile:
             with pytest.raises(ValueError):
                 studentized_range_quantile(pool, bad)
 
+    def test_level_the_pool_cannot_resolve_refused(self):
+        # ceil((1 - alpha) * N) = N would make the pool maximum the critical value
+        values = np.arange(1000.0)
+        for alpha in (1e-4, 1e-5):
+            with pytest.raises(ValueError, match=r"N=1000 .*--mc-samples"):
+                mcquantile.empirical_quantile(values, alpha)
+        assert mcquantile.empirical_quantile(values, 0.001) == 998.0  # index 999
+        pool = make_mc_pool([1.0, 1.0], 1000, seed=0)
+        with pytest.raises(ValueError, match="alpha=1e-05"):
+            studentized_range_quantile(pool, 1e-5)
+
     def test_deterministic(self):
         q1 = studentized_range_quantile(make_mc_pool([1.0, 2.0], 50_000, seed=9), 0.05)
         q2 = studentized_range_quantile(make_mc_pool([1.0, 2.0], 50_000, seed=9), 0.05)
