@@ -25,6 +25,8 @@ from .rankability import rankability_estimate
 from .seqtukey import sequential_tukey
 from .simharness import (
     PRESET_CENTERS,
+    _TAG_BOOT,
+    _TAG_POOL,
     ScenarioConfig,
     _child_seed,
     preset_scenario,
@@ -133,13 +135,13 @@ def _run_methods(sample: CenterSample, methods, alpha, mc_samples, boot_samples,
     """
     bootstrap = contextlib.nullcontext()
     if "zhang" in methods:
-        bcfg = BootstrapConfig(n_boot=boot_samples, seed=_child_seed(seed, 3))
+        bcfg = BootstrapConfig(n_boot=boot_samples, seed=_child_seed(seed, _TAG_BOOT))
         bootstrap = _in_background(lambda: (zhang_simultaneous(sample, alpha, bcfg),
                                             zhang_simultaneous(sample, 0.5, bcfg)))
     with bootstrap as join_bootstrap:
         pool = None
         if "tukey" in methods or "seqtukey" in methods:
-            pool = make_mc_pool(sample.sigma, mc_samples, seed=_child_seed(seed, 2))
+            pool = make_mc_pool(sample.sigma, mc_samples, seed=_child_seed(seed, _TAG_POOL))
         out = {}
         for m in methods:
             entry = {}

@@ -68,7 +68,6 @@ class McPool:
     draws: np.ndarray
     sigma: np.ndarray
     seed: int
-    n_samples: int
     _cols: np.ndarray = field(init=False, repr=False, compare=False)
     _row_maxima: dict = field(init=False, repr=False, compare=False)
 
@@ -77,8 +76,8 @@ class McPool:
         sigma = np.asarray(self.sigma, dtype=float)
         if draws.ndim != 2:
             raise ValueError("draws must be a 2-d matrix")
-        if draws.shape != (self.n_samples, sigma.size):
-            raise ValueError("draws shape must be (n_samples, len(sigma))")
+        if draws.shape[1] != sigma.size:
+            raise ValueError("draws must have one column per sigma")
         draws.setflags(write=False)
         sigma.setflags(write=False)
         # column-contiguous: pairwise column ops dominate the runtime.  No
@@ -89,6 +88,10 @@ class McPool:
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "_cols", cols)
         object.__setattr__(self, "_row_maxima", {})
+
+    @property
+    def n_samples(self) -> int:
+        return self.draws.shape[0]
 
     @property
     def n_centers(self) -> int:
@@ -113,8 +116,7 @@ def _check_pool_fits_memory(n_samples: int, n_centers: int) -> None:
         )
 
 
-def make_mc_pool(sigma, n_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0,
-                 floor: int = MC_SAMPLES_FLOOR) -> McPool:
+def make_mc_pool(sigma, n_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0) -> McPool:
     """Draw the reusable pool of centered Gaussians, one column per center.
 
     Deterministic for fixed ``(sigma, n_samples, seed)``; the generator is
@@ -124,7 +126,7 @@ def make_mc_pool(sigma, n_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0,
     Raises
     ------
     ValueError
-        If ``n_samples`` is below ``floor``, any sigma is not positive, or
+        If ``n_samples`` is below ``MC_SAMPLES_FLOOR``, any sigma is not positive, or
         the pool would not fit in physical memory.
     """
     sigma = np.asarray(sigma, dtype=float)
@@ -133,8 +135,8 @@ def make_mc_pool(sigma, n_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0,
     if not np.all(np.isfinite(sigma)) or np.any(sigma <= 0):
         raise ValueError("every sigma must be finite and strictly positive")
     n_samples = int(n_samples)
-    if n_samples < floor:
-        raise ValueError(f"n_samples={n_samples} is below the floor of {floor}")
+    if n_samples < MC_SAMPLES_FLOOR:
+        raise ValueError(f"n_samples={n_samples} is below the floor of {MC_SAMPLES_FLOOR}")
     _check_pool_fits_memory(n_samples, sigma.size)
     rng = np.random.default_rng(seed)
     # standard_normal fills its output in C order from one stream, so chunks
@@ -146,7 +148,7 @@ def make_mc_pool(sigma, n_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0,
         stop = min(start + _DRAW_CHUNK_ROWS, n_samples)
         rows = rng.standard_normal(out=chunk[: stop - start])
         np.multiply(rows.T, sigma[:, None], out=cols[:, start:stop])
-    return McPool(draws=cols.T, sigma=sigma, seed=int(seed), n_samples=n_samples)
+    return McPool(draws=cols.T, sigma=sigma, seed=int(seed))
 
 
 def empirical_quantile(values: np.ndarray, alpha: float) -> float:

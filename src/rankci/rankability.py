@@ -16,18 +16,22 @@ __all__ = ["RankabilityEstimate", "rankability_true", "rankability_estimate"]
 
 @dataclass(frozen=True)
 class RankabilityEstimate:
-    """Estimated rankability with its one-sided confidence statement."""
+    """Estimated rankability with its one-sided confidence interval [value, 1]."""
 
     value: float
     alpha: float
-    ci_lower: float
-    ci_upper: float
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
             raise ValueError(f"rankability must be in [0, 1], got {self.value}")
-        if self.ci_lower != self.value or self.ci_upper != 1.0:
-            raise ValueError("confidence interval must be [value, 1]")
+
+    @property
+    def ci_lower(self) -> float:
+        return self.value
+
+    @property
+    def ci_upper(self) -> float:
+        return 1.0
 
 
 def rankability_true(set_ranks: list[SetRank]) -> float:
@@ -53,4 +57,4 @@ def rankability_estimate(cis: SimultaneousRankCIs) -> RankabilityEstimate:
         raise ValueError("rankability requires at least 2 centers")
     total = int(cis.widths().sum())
     value = 1.0 - total / (n * (n - 1))
-    return RankabilityEstimate(value=value, alpha=cis.alpha, ci_lower=value, ci_upper=1.0)
+    return RankabilityEstimate(value=value, alpha=cis.alpha)
