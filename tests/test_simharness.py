@@ -141,6 +141,16 @@ class TestRunCoverage:
         narrowed = np.array([w < (5 - 1) for w in stats.mean_width])
         assert np.array_equal(stats.false_rejection, narrowed)
 
+    def test_tukey_false_rejections_same_alone_and_beside_seqtukey(self):
+        # alone, Tukey's rejections come from tukey_rejected_pairs; beside
+        # seqtukey, from its first round on the same pool
+        alone = run_coverage(quick_scenario([0.0] * 5, reps=20, alpha=0.3, methods=("tukey",)))
+        both = run_coverage(quick_scenario([0.0] * 5, reps=20, alpha=0.3,
+                                           methods=("tukey", "seqtukey")))
+        flags = alone.methods["tukey"].false_rejection
+        assert flags.any() and not flags.all()
+        assert np.array_equal(flags, both.methods["tukey"].false_rejection)
+
     def test_single_replicate(self):
         cfg = quick_scenario([0.0, 1.0], reps=1)
         report = run_coverage(cfg)
