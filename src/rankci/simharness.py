@@ -15,7 +15,7 @@ and listed in ascending order.
 
 import contextlib
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -153,7 +153,7 @@ class CoverageReport:
     """Aggregated outcome of a scenario run."""
 
     scenario: ScenarioConfig
-    methods: dict = field(default_factory=dict)
+    methods: dict
     nestedness_violations: int | None = None
     true_rankability: float | None = None
 
@@ -256,13 +256,14 @@ def _run_replicate(cfg: ScenarioConfig, r: int, set_ranks=None):
     true_mask, _ = truth_partition(mu[sample.order])
     outcomes = {}
     for m in cfg.methods:
-        intervals = list(zip(results[m].intervals, sample.order.tolist()))
+        cis = results[m]
+        intervals = list(zip(cis.intervals, sample.order.tolist()))
         rejected = rejections.get(m)
         outcomes[m] = _Outcome(
             covered_set_rank=all(ci.contains_set_rank(set_ranks[k]) for ci, k in intervals),
             covered_index=all(ci.contains_rank(k + 1) for ci, k in intervals),
-            mean_width=float(results[m].widths().mean()),
-            rankability=rankability_estimate(results[m]).value if cfg.n >= 2 else np.nan,
+            mean_width=float(cis.widths().mean()),
+            rankability=rankability_estimate(cis).value if cfg.n >= 2 else np.nan,
             false_rejection=(None if m == "zhang"
                              else rejected is not None and bool(np.any(rejected & true_mask))),
         )
