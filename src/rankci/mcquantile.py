@@ -126,8 +126,8 @@ def make_mc_pool(sigma, n_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0) -> M
     Raises
     ------
     ValueError
-        If ``n_samples`` is below ``MC_SAMPLES_FLOOR``, any sigma is not positive, or
-        the pool would not fit in physical memory.
+        If ``n_samples`` is below ``MC_SAMPLES_FLOOR``, any sigma is not
+        positive, or the pool would not fit in physical memory.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 1 or sigma.size < 1:
