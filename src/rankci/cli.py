@@ -308,6 +308,15 @@ def _is_number_list(value) -> bool:
     return isinstance(value, list) and all(_is_number(v) for v in value)
 
 
+def _whole_number(spec: dict, key: str, default: int, path: str) -> int:
+    """``spec[key]``, or ``default`` when absent, as an int; bools and fractions are refused."""
+    value = spec.get(key, default)
+    if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
+        raise IngestError(f"scenario file {path}: {key!r} must be a whole number, "
+                          f"got {json.dumps(value)}")
+    return int(value)
+
+
 def _load_scenario(args) -> ScenarioConfig:
     methods = tuple(args.methods.split(",")) if args.methods else ("tukey", "seqtukey", "zhang")
     if args.scenario in PRESET_CENTERS:
@@ -331,21 +340,26 @@ def _load_scenario(args) -> ScenarioConfig:
             sigma = [sigma] * len(mu)
         elif not _is_number_list(sigma):
             raise IngestError(f"scenario file {path}: 'sigma' must be a number or a list of numbers")
-        try:
-            return ScenarioConfig(
-                mu=tuple(float(v) for v in mu),
-                sigma=tuple(float(s) for s in sigma),
-                alpha=float(spec.get("alpha", args.alpha)),
-                reps=int(spec.get("reps", args.reps)),
-                seed=int(spec.get("seed", args.seed)),
-                methods=tuple(spec.get("methods", methods)),
-                mc_samples=int(spec.get("mc_samples", args.mc_samples)),
-                boot=BootstrapConfig(n_boot=int(spec.get("n_boot", args.boot_samples))),
-                name=spec.get("name", path),
-            )
-        except TypeError as exc:
-            # a null, list or object where a number or a list of names belongs
-            raise IngestError(f"scenario file {path}: {exc}") from exc
+        alpha = spec.get("alpha", args.alpha)
+        if not _is_number(alpha):
+            raise IngestError(f"scenario file {path}: 'alpha' must be a number")
+        methods = spec.get("methods", list(methods))
+        if not (isinstance(methods, list) and all(isinstance(m, str) for m in methods)):
+            raise IngestError(f"scenario file {path}: 'methods' must be a list of method names")
+        counts = {key: _whole_number(spec, key, default, path) for key, default in (
+            ("reps", args.reps), ("seed", args.seed),
+            ("mc_samples", args.mc_samples), ("n_boot", args.boot_samples))}
+        return ScenarioConfig(
+            mu=tuple(float(v) for v in mu),
+            sigma=tuple(float(s) for s in sigma),
+            alpha=float(alpha),
+            reps=counts["reps"],
+            seed=counts["seed"],
+            methods=tuple(methods),
+            mc_samples=counts["mc_samples"],
+            boot=BootstrapConfig(n_boot=counts["n_boot"]),
+            name=spec.get("name", path),
+        )
     raise IngestError(
         f"unknown scenario {args.scenario!r}; use one of "
         f"{sorted(PRESET_CENTERS)} or file:<path>"

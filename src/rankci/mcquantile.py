@@ -7,7 +7,9 @@ pair set: more pairs can only raise each row's maximum.
 
 The two row-maxima vectors that do not depend on the data, over all pairs and
 over the negative pairs, are computed once per pool and cached on it, so every
-alpha and every method reads its critical value from the same vectors.
+alpha and every method reads its critical value from the same vectors.  The
+pool also keeps the last restricted row maxima the sequential procedure
+stored, with their pair mask, so its next round can start from them.
 
 The pool is one column-major buffer, so every pairwise operation reads two
 contiguous columns.  The row-maxima kernels split the pool rows into
@@ -61,8 +63,10 @@ class McPool:
 
     The pool also carries a cache of row-maxima vectors, each of length N,
     filled on first use by :func:`full_row_maxima` and
-    :func:`negative_row_maxima`.  Cached vectors are read-only, so no caller
-    can change the quantiles later drawn from the same pool.
+    :func:`negative_row_maxima`, and holding the last vector given to
+    :func:`cache_restricted_row_maxima` with its mask.  Cached vectors and
+    masks are read-only, so no caller can change the quantiles later drawn
+    from the same pool.
     """
 
     draws: np.ndarray
@@ -99,6 +103,10 @@ class McPool:
 
     def matches_sigma(self, sigma) -> bool:
         return np.array_equal(self.sigma, np.asarray(sigma, dtype=float))
+
+    def take_rows(self, rows) -> "McPool":
+        """A pool of the given rows of this one, copied, with an empty cache."""
+        return McPool(draws=np.take(self._cols, rows, axis=1).T, sigma=self.sigma, seed=self.seed)
 
 
 def _check_pool_fits_memory(n_samples: int, n_centers: int) -> None:
@@ -353,6 +361,25 @@ def negative_row_maxima(pool: McPool) -> np.ndarray:
     if "negative" not in pool._row_maxima:
         _fill_row_maxima(pool, "negative")
     return pool._row_maxima["negative"]
+
+
+def cached_restricted_row_maxima(pool: McPool):
+    """The ``(active, row maxima)`` last given to :func:`cache_restricted_row_maxima`, or None."""
+    return pool._row_maxima.get("restricted")
+
+
+def cache_restricted_row_maxima(pool: McPool, active: np.ndarray, values: np.ndarray) -> None:
+    """Keep ``values`` as the pool's last restricted row maxima, read-only.
+
+    ``active`` is a lower-triangular ``(n, n)`` mask of positive pairs, and
+    ``values`` must be the row maxima over those pairs and every negative
+    pair (i < j).  A copy of the mask is stored; both replace the entry
+    before.
+    """
+    active = np.array(active, dtype=bool)
+    active.setflags(write=False)
+    values.setflags(write=False)
+    pool._row_maxima["restricted"] = (active, values)
 
 
 def studentized_range_quantile(pool: McPool, alpha: float) -> float:

@@ -7,6 +7,18 @@ unrejected positive pairs plus all negative pairs; the loop stops at the
 first round that rejects nothing.  Keeping the negatives in the maximum is
 what anchors each interval to its empirical rank, and reusing one pool makes
 the critical values non-increasing by construction rather than on average.
+
+Each round only drops pairs, so its row maxima are derived from a superset's
+maxima kept on the pool: the previous round's, the last round of an earlier
+call on the same pool (the other level, say), or the full-range maxima.  Let
+``base`` be the row maxima over the positive pairs A plus the negatives, and
+let the new round keep the subset B of A, dropping the pairs R.  A row keeps
+``base`` unless its maximum may lie in R: ``max_R >= base`` while the
+negatives stay below ``base`` (``>=``, because a maximum attained in R equals
+``base``).  Only those stale rows are recomputed over B, gathered, and maxed
+with the negatives.  A maximum is exact and every pair value comes from the
+same elementwise formula, so the derived maxima are bit for bit the direct
+ones.  When |R| >= |B| the maxima over B are computed directly instead.
 """
 
 from dataclasses import dataclass
@@ -16,7 +28,10 @@ import numpy as np
 from .core import CenterSample, RankInterval, SimultaneousRankCIs, rank_bounds_from_rejections
 from .mcquantile import (
     McPool,
+    cache_restricted_row_maxima,
+    cached_restricted_row_maxima,
     empirical_quantile,
+    full_row_maxima,
     negative_row_maxima,
     pair_row_maxima,
     studentized_range_quantile,
@@ -67,6 +82,48 @@ class SeqTrace:
         return self.steps[-1].rejected_total if self.steps else None
 
 
+def _row_maxima_from(pool: McPool, base_mask: np.ndarray, base: np.ndarray,
+                     active: np.ndarray) -> np.ndarray:
+    """Row maxima over ``active``'s positive pairs and every negative pair.
+
+    ``base`` holds the row maxima over ``base_mask``'s positive pairs and
+    every negative pair, and ``active`` is a subset of ``base_mask``.  Only
+    the rows whose maximum may lie in a dropped pair are recomputed (see the
+    module docstring); the result may be ``base`` itself.
+    """
+    negative = negative_row_maxima(pool)
+    dropped = base_mask & ~active
+    n_dropped = np.count_nonzero(dropped)
+    if n_dropped >= np.count_nonzero(active):
+        row_max = pair_row_maxima(pool, *np.nonzero(active))
+        return np.maximum(row_max, negative, out=row_max)
+    reached = pair_row_maxima(pool, *np.nonzero(dropped)) >= base
+    stale = np.flatnonzero(reached & (negative < base))
+    if stale.size == 0:
+        return base
+    fresh = pair_row_maxima(pool.take_rows(stale), *np.nonzero(active))
+    np.maximum(fresh, negative[stale], out=fresh)
+    row_max = base.copy()
+    row_max[stale] = fresh
+    return row_max
+
+
+def _active_row_maxima(pool: McPool, active: np.ndarray) -> np.ndarray:
+    """Row maxima over ``active``'s positive pairs and every negative pair, cached.
+
+    The base is the pool's last restricted maxima when their mask holds
+    ``active``, else the full-range maxima, whose mask is every positive pair.
+    """
+    cached = cached_restricted_row_maxima(pool)
+    if cached is not None and not np.any(active & ~cached[0]):
+        base_mask, base = cached
+    else:
+        base_mask, base = np.tri(pool.n_centers, k=-1, dtype=bool), full_row_maxima(pool)
+    row_max = _row_maxima_from(pool, base_mask, base, active)
+    cache_restricted_row_maxima(pool, active, row_max)
+    return row_max
+
+
 def sequential_tukey(sample: CenterSample, alpha: float, pool: McPool
                      ) -> tuple[SimultaneousRankCIs, SeqTrace]:
     """Sequentially rejective Tukey HSD on a sorted sample.
@@ -95,14 +152,12 @@ def sequential_tukey(sample: CenterSample, alpha: float, pool: McPool
         steps.append(SeqStep(q, newly, rejected))
         if not newly.any():
             break
-        active_i, active_j = np.nonzero(np.tril(~rejected, -1))
-        if active_i.size == 0:
+        active = np.tril(~rejected, -1)
+        if not active.any():
             break
-        # the negative pairs stay in every round; their row maxima are
-        # cached on the pool, shared across rounds and across alphas
-        row_max = pair_row_maxima(pool, active_i, active_j)
-        np.maximum(row_max, negative_row_maxima(pool), out=row_max)
-        q = empirical_quantile(row_max, alpha)
+        # the negative pairs stay in every round; the row maxima derive from
+        # the last ones cached on the pool, shared across rounds and alphas
+        q = empirical_quantile(_active_row_maxima(pool, active), alpha)
 
     intervals = rank_bounds_from_rejections(rejected)
     cis = SimultaneousRankCIs(tuple(intervals), alpha, "seqtukey", iterations=len(steps))

@@ -331,6 +331,40 @@ class TestCmdSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: scenario file ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("reps", 2.9), ("reps", True), ("seed", True), ("seed", 0.5), ("seed", None),
+        ("mc_samples", 1000.7), ("mc_samples", "2000"), ("n_boot", False), ("n_boot", 200.5),
+    ])
+    def test_scenario_count_must_be_whole_number(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"mu": [1, 2, 3], key: value}))
+        assert main(["simulate", "--scenario", f"file:{path}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario file ") and err.count("\n") == 1
+        assert f"'{key}' must be a whole number, got {json.dumps(value)}" in err
+
+    @pytest.mark.parametrize("methods", ["tukey", ["tukey", 1], {"tukey": 1}])
+    def test_scenario_methods_must_be_a_list_of_names(self, tmp_path, capsys, methods):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"mu": [1, 2, 3], "methods": methods}))
+        assert main(["simulate", "--scenario", f"file:{path}"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.endswith("'methods' must be a list of method names\n")
+
+    def test_scenario_whole_floats_accepted(self, tmp_path, capsys):
+        spec = {"mu": [0.0, 8.0], "reps": 2.0, "seed": 3.0, "mc_samples": 2000.0,
+                "n_boot": 200.0, "methods": ["tukey"]}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(spec))
+        out_file = tmp_path / "sim.json"
+        assert main(["simulate", "--scenario", f"file:{path}",
+                     "--out", "json", "--out-file", str(out_file)]) == 0
+        scenario = json.loads(out_file.read_text())["report"]["scenario"]
+        counts = {key: scenario[key] for key in ("reps", "seed", "mc_samples", "n_boot")}
+        assert counts == {"reps": 2, "seed": 3, "mc_samples": 2000, "n_boot": 200}
+        assert all(type(v) is int for v in counts.values())
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_single_center_json_is_strict(self, tmp_path, capsys):
         # one center: every replicate's rankability is NaN

@@ -7,7 +7,9 @@ bit for bit, not just approximately:
   by the same power of two, and every ratio is unchanged;
 * shifting ``y`` by ``c`` when ``y`` and ``c`` are multiples of 1/8 with
   ``|y|, |c| <= 2^20`` keeps every sum and difference exact, and the pool
-  depends on ``sigma`` only.
+  depends on ``sigma`` only;
+* a row maximum is exact, so seqtukey's row maxima derived from a superset's
+  are the ones computed directly.
 """
 
 import numpy as np
@@ -19,11 +21,14 @@ from rankci import (
     BootstrapConfig,
     CenterSample,
     make_mc_pool,
+    mcquantile,
     rankability_estimate,
     sequential_tukey,
     tukey_rank_cis,
     zhang_simultaneous,
 )
+from rankci.mcquantile import full_row_maxima, negative_row_maxima, pair_row_maxima
+from rankci.seqtukey import _row_maxima_from
 
 pytestmark = pytest.mark.filterwarnings("ignore:observed estimates contain exact ties")
 
@@ -131,3 +136,53 @@ def test_dyadic_shift_changes_nothing(instance, c):
     assert bounds(s_tuk) == bounds(tuk)
     assert bounds(s_seq) == bounds(seq)
     assert s_trace.critical_values == trace.critical_values
+
+
+@st.composite
+def nested_masks(draw):
+    """(sigma, seed, A, B): lower-triangular pair masks with B a nonempty subset of A.
+
+    A is every positive pair a third of the time, so that the base is the
+    cached full-range maxima; B drops none, one or any number of A's pairs.
+    """
+    n = draw(st.integers(2, 9))
+    if draw(st.booleans()):
+        sigma = np.full(n, draw(st.floats(0.25, 4.0)))
+    else:
+        sigma = np.array(draw(st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n)))
+    positives = list(zip(*np.nonzero(np.tri(n, k=-1, dtype=bool))))
+    if draw(st.integers(0, 2)) == 0:
+        kept = positives
+    else:
+        kept = draw(st.lists(st.sampled_from(positives), min_size=1, unique=True))
+    n_dropped = draw(st.one_of(st.just(0), st.just(1), st.integers(0, len(kept) - 1)))
+    dropped = draw(st.permutations(kept))[:min(n_dropped, len(kept) - 1)]
+    masks = np.zeros((2, n, n), dtype=bool)
+    for mask, pairs in zip(masks, (kept, set(kept) - set(dropped))):
+        for pair in pairs:
+            mask[pair] = True
+    return sigma, draw(st.integers(0, 2**32 - 1)), masks[0], masks[1]
+
+
+def direct_row_maxima(pool, active):
+    """Row maxima over ``active``'s pairs and every negative pair, computed directly."""
+    return np.maximum(pair_row_maxima(pool, *np.nonzero(active)), negative_row_maxima(pool))
+
+
+@pytest.mark.parametrize("spans", [None, (3, 100)], ids=["one-span", "row-spans"])
+@PROPERTY
+@given(nested_masks())
+def test_derived_row_maxima_bit_identical(spans, case):
+    sigma, seed, base_mask, active = case
+    with pytest.MonkeyPatch.context() as patch:
+        if spans is not None:
+            cores, min_rows = spans
+            patch.setattr(mcquantile, "_usable_cores", lambda: cores)
+            patch.setattr(mcquantile, "_MIN_SPAN_ROWS", min_rows)
+        pool = make_mc_pool(sigma, 2 * POOL_ROWS, seed=seed)
+        if base_mask.sum() == sigma.size * (sigma.size - 1) // 2:
+            base = full_row_maxima(pool)
+        else:
+            base = direct_row_maxima(pool, base_mask)
+        derived = _row_maxima_from(pool, base_mask, base, active)
+        assert derived.tobytes() == direct_row_maxima(pool, active).tobytes()

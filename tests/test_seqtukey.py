@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rankci.core import CenterSample, rank_bounds_from_rejections
-from rankci.mcquantile import make_mc_pool
+from rankci.mcquantile import make_mc_pool, pair_row_maxima
 from rankci.seqtukey import sequential_tukey
 from rankci.tukey import tukey_rank_cis, tukey_rejected_pairs
 
@@ -187,3 +187,62 @@ class TestSequentialTukey:
             remaining = positives & ~trace.steps[k - 1].rejected_total
             expected = restricted_max_quantile(pool, remaining | negatives, 0.05)
             assert trace.critical_values[k] == expected
+
+
+class TestSharedPoolCallOrder:
+    """The restricted row maxima cached on a pool change no result, in any call order."""
+
+    N = 4_000
+    SEED = 11
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        # two equal-sigma samples, so both fit one pool
+        rng = np.random.default_rng(4)
+        n, sigma = 24, np.full(24, 0.8)
+        return [CenterSample.from_observations(
+                    np.arange(n) * spread + sigma * rng.standard_normal(n), sigma)
+                for spread in (0.4, 0.25)]
+
+    def run(self, sample, alpha, pool):
+        _, trace = sequential_tukey(sample, alpha, pool)
+        return ([q.hex() for q in trace.critical_values],
+                [(step.newly_rejected.tobytes(), step.rejected_total.tobytes())
+                 for step in trace.steps])
+
+    @pytest.mark.parametrize("order", [
+        [(0, 0.05), (0, 0.5)],
+        [(0, 0.5), (0, 0.05)],
+        [(0, 0.05), (1, 0.05), (0, 0.5), (1, 0.5), (0, 0.05)],
+    ], ids=["alpha-then-half", "half-then-alpha", "interleaved"])
+    def test_same_as_fresh_pools(self, samples, order, monkeypatch):
+        rows_seen = []
+
+        def recording(pool, i_idx, j_idx):
+            rows_seen.append(pool.n_samples)
+            return pair_row_maxima(pool, i_idx, j_idx)
+
+        fresh = {(k, alpha): self.run(samples[k], alpha,
+                                      make_mc_pool(samples[k].sigma, self.N, seed=self.SEED))
+                 for k, alpha in order}
+        monkeypatch.setattr("rankci.seqtukey.pair_row_maxima", recording)
+        pool = make_mc_pool(samples[0].sigma, self.N, seed=self.SEED)
+        for k, alpha in order:
+            assert self.run(samples[k], alpha, pool) == fresh[k, alpha]
+        # each level runs several rounds, and some round recomputed only
+        # gathered stale rows
+        assert all(len(qs) >= 3 for qs, _ in fresh.values())
+        assert min(rows_seen) < self.N
+        for cached in pool._row_maxima.values():
+            for values in cached if isinstance(cached, tuple) else (cached,):
+                assert not values.flags.writeable
+
+    def test_interleaved_masks_not_nested(self, samples):
+        # the second sample's first restricted round keeps a pair the first
+        # sample's last round had dropped, so its base must be the full range
+        pool = make_mc_pool(samples[0].sigma, self.N, seed=self.SEED)
+        _, first = sequential_tukey(samples[0], 0.05, pool)
+        _, second = sequential_tukey(samples[1], 0.05, pool)
+        last_active = np.tril(~first.final_rejected, -1)
+        active = np.tril(~second.steps[0].rejected_total, -1)
+        assert np.any(active & ~last_active)
