@@ -9,7 +9,8 @@ The two row-maxima vectors that do not depend on the data, over all pairs and
 over the negative pairs, are computed once per pool and cached on it, so every
 alpha and every method reads its critical value from the same vectors.  The
 pool also keeps the last restricted row maxima the sequential procedure
-stored, with their pair mask, so its next round can start from them.
+stored, with their pair mask, so its next round can start from them, until
+a caller that passes the pool on to other data drops them.
 
 The pool is one column-major buffer, so every pairwise operation reads two
 contiguous columns.  The row-maxima kernels split the pool rows into
@@ -380,6 +381,11 @@ def cache_restricted_row_maxima(pool: McPool, active: np.ndarray, values: np.nda
     active.setflags(write=False)
     values.setflags(write=False)
     pool._row_maxima["restricted"] = (active, values)
+
+
+def drop_restricted_row_maxima(pool: McPool) -> None:
+    """Forget the pool's restricted row maxima, if any; the full and negative ones stay."""
+    pool._row_maxima.pop("restricted", None)
 
 
 def studentized_range_quantile(pool: McPool, alpha: float) -> float:
