@@ -346,6 +346,10 @@ def _load_scenario(args) -> ScenarioConfig:
         methods = spec.get("methods", list(methods))
         if not (isinstance(methods, list) and all(isinstance(m, str) for m in methods)):
             raise IngestError(f"scenario file {path}: 'methods' must be a list of method names")
+        name = spec.get("name", path)
+        if not isinstance(name, str):
+            raise IngestError(f"scenario file {path}: 'name' must be a string, "
+                              f"got {json.dumps(name)}")
         counts = {key: _whole_number(spec, key, default, path) for key, default in (
             ("reps", args.reps), ("seed", args.seed),
             ("mc_samples", args.mc_samples), ("n_boot", args.boot_samples))}
@@ -358,7 +362,7 @@ def _load_scenario(args) -> ScenarioConfig:
             methods=tuple(methods),
             mc_samples=counts["mc_samples"],
             boot=BootstrapConfig(n_boot=counts["n_boot"]),
-            name=spec.get("name", path),
+            name=name,
         )
     raise IngestError(
         f"unknown scenario {args.scenario!r}; use one of "

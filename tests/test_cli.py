@@ -352,6 +352,19 @@ class TestCmdSimulate:
         assert err.count("\n") == 1
         assert err.endswith("'methods' must be a list of method names\n")
 
+    @pytest.mark.parametrize("name", [None, ["a", "b"], 7, {"a": 1}],
+                             ids=["null", "list", "number", "object"])
+    def test_scenario_name_must_be_a_string(self, tmp_path, capsys, name):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"mu": [1, 2, 3], "name": name}))
+        out_file = tmp_path / "sim.tsv"
+        assert main(["simulate", "--scenario", f"file:{path}",
+                     "--out", "tsv", "--out-file", str(out_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario file ") and err.count("\n") == 1
+        assert err.endswith(f"'name' must be a string, got {json.dumps(name)}\n")
+        assert not out_file.exists()
+
     def test_scenario_whole_floats_accepted(self, tmp_path, capsys):
         spec = {"mu": [0.0, 8.0], "reps": 2.0, "seed": 3.0, "mc_samples": 2000.0,
                 "n_boot": 200.0, "methods": ["tukey"]}
@@ -443,6 +456,7 @@ class TestGoldenBytes:
     SIMULATE_SHA256 = "91af6b0850adebdf71f42e2d5a270f2005f7235e632df0b2028e678461df21d4"
     SIMULATE_TSV_SHA256 = "fd4152d690e86aa20bebb53f87449705ce310cbe3abfd6ed3eac74ab52bf1546"
     SIMULATE_TABLE_SHA256 = "533babca78f9c51a8dfd2449a4865d32d5dc8025cb734bcb031c7128cb65d8b6"
+    SIMULATE_PAPER3_SHA256 = "a544de71a4e926d5e935ee77c6374a25fb389ce7cfec66933e005288883d70ee"
 
     def test_rank_all_json(self, golden_dir, capsys):
         rc = main(GOLDEN_RANK_ARGS + ["--out", "json", "--out-file", "rank.json"])
@@ -469,6 +483,15 @@ class TestGoldenBytes:
         assert rc == 0
         assert _sha256(_masked_stdout(capsys)) == self.SIMULATE_TABLE_SHA256
         assert _sha256(out_file.read_bytes()) == self.SIMULATE_TSV_SHA256
+
+    def test_simulate_paper3_json_one_pool_per_call(self, tmp_path, capsys):
+        # 20 replicates on the one pool of the call: Tukey's widths differ
+        # from those on a pool drawn per replicate
+        out_file = tmp_path / "sim.json"
+        rc = main(["simulate", "--scenario", "paper3", "--reps", "20", "--seed", "0",
+                   "--out", "json", "--out-file", str(out_file)])
+        assert rc == 0
+        assert _sha256(out_file.read_bytes()) == self.SIMULATE_PAPER3_SHA256
 
     @pytest.mark.parametrize("methods, expected", [
         # tukey alone scores false rejections through tukey_rejected_pairs
