@@ -1,12 +1,18 @@
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from rankci.bootstrap import BootstrapConfig
+from rankci.core import CenterSample
+from rankci.mcquantile import make_mc_pool
 from rankci.simharness import (
+    _TAG_DATA,
+    _TAG_POOL,
     PRESET_CENTERS,
     ScenarioConfig,
+    _child_seed,
     _run_replicate,
     comparison_scenario,
     preset_scenario,
@@ -176,6 +182,87 @@ class TestRunCoverage:
         for m in cfg.methods:
             assert report.methods[m].mean_width.tolist() == [
                 outcomes[m].mean_width for outcomes, _ in forward]
+
+
+class TestPoolReuse:
+    """run_coverage draws a pool only when a replicate's sorted sigmas change."""
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """The sigmas of every pool simharness draws; each draw checks that no earlier pool lives."""
+        sigmas, pools = [], []
+
+        def counted(sigma, n_samples, seed):
+            assert all(ref() is None for ref in pools), "two pools alive at once"
+            pool = make_mc_pool(sigma, n_samples, seed=seed)
+            sigmas.append(pool.sigma)
+            pools.append(weakref.ref(pool))
+            return pool
+
+        monkeypatch.setattr("rankci.simharness.make_mc_pool", counted)
+        return sigmas
+
+    @staticmethod
+    def records(monkeypatch, cfg):
+        """The per-replicate records run_coverage builds its report from."""
+        runs = []
+
+        def recorded(*args):
+            runs.append(_run_replicate(*args))
+            return runs[-1]
+
+        monkeypatch.setattr("rankci.simharness._run_replicate", recorded)
+        run_coverage(cfg)
+        return runs
+
+    @staticmethod
+    def sorted_sigmas(cfg):
+        """Each replicate's sigmas in the order of its sorted sample."""
+        mu, sigma = np.asarray(cfg.mu), np.asarray(cfg.sigma)
+        out = []
+        for r in range(cfg.reps):
+            rng = np.random.default_rng(_child_seed(cfg.seed, r, _TAG_DATA))
+            out.append(CenterSample.from_observations(mu + sigma * rng.standard_normal(cfg.n),
+                                                      sigma).sigma)
+        return out
+
+    def test_equal_sigmas_draw_one_pool_per_call(self, drawn):
+        cfg = preset_scenario("paper2", reps=6, mc_samples=2_000, n_boot=500)
+        run_coverage(cfg)
+        assert len(drawn) == 1
+        run_coverage(cfg)
+        assert len(drawn) == 2
+
+    def test_unequal_sigmas_redraw_only_when_sorted_sigmas_change(self, drawn):
+        cfg = comparison_scenario(6, reps=8, mc_samples=2_000)
+        sigmas = self.sorted_sigmas(cfg)
+        expected = [s for r, s in enumerate(sigmas)
+                    if r == 0 or not np.array_equal(s, sigmas[r - 1])]
+        run_coverage(cfg)
+        # both paths are taken: some replicates reuse the pool, others redraw it
+        assert 1 < len(expected) < cfg.reps
+        assert len(drawn) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(drawn, expected))
+
+    @pytest.mark.parametrize("cfg", [
+        preset_scenario("paper3", reps=6, mc_samples=2_000, n_boot=500),
+        comparison_scenario(6, reps=8, mc_samples=2_000),
+    ], ids=["equal-sigmas", "unequal-sigmas"])
+    def test_shared_pool_records_equal_lone_replicates(self, monkeypatch, cfg):
+        shared = self.records(monkeypatch, cfg)
+        assert shared == [_run_replicate(cfg, r) for r in range(cfg.reps)]
+
+    def test_pool_seeds_from_the_scenario_seed_alone(self, monkeypatch):
+        seeds = []
+
+        def counted(sigma, n_samples, seed):
+            seeds.append(seed)
+            return make_mc_pool(sigma, n_samples, seed=seed)
+
+        monkeypatch.setattr("rankci.simharness.make_mc_pool", counted)
+        cfg = comparison_scenario(6, reps=8, seed=3, mc_samples=2_000)
+        run_coverage(cfg)
+        assert len(seeds) > 1 and set(seeds) == {_child_seed(3, _TAG_POOL)}
 
 
 class TestRunComparison:
