@@ -189,18 +189,18 @@ class TestPoolReuse:
 
     @pytest.fixture
     def drawn(self, monkeypatch):
-        """The sigmas of every pool simharness draws; each draw checks that no earlier pool lives."""
-        sigmas, pools = [], []
+        """``(sigma, seed)`` of every pool simharness draws; each draw checks no earlier pool lives."""
+        drawn, pools = [], []
 
         def counted(sigma, n_samples, seed):
             assert all(ref() is None for ref in pools), "two pools alive at once"
             pool = make_mc_pool(sigma, n_samples, seed=seed)
-            sigmas.append(pool.sigma)
+            drawn.append((pool.sigma, pool.seed))
             pools.append(weakref.ref(pool))
             return pool
 
         monkeypatch.setattr("rankci.simharness.make_mc_pool", counted)
-        return sigmas
+        return drawn
 
     @staticmethod
     def records(monkeypatch, cfg):
@@ -242,7 +242,8 @@ class TestPoolReuse:
         # both paths are taken: some replicates reuse the pool, others redraw it
         assert 1 < len(expected) < cfg.reps
         assert len(drawn) == len(expected)
-        assert all(np.array_equal(a, b) for a, b in zip(drawn, expected))
+        assert all(np.array_equal(sigma, s) for (sigma, _), s in zip(drawn, expected))
+        assert {seed for _, seed in drawn} == {_child_seed(cfg.seed, _TAG_POOL)}
 
     @pytest.mark.parametrize("cfg", [
         preset_scenario("paper3", reps=6, mc_samples=2_000, n_boot=500),
@@ -251,18 +252,6 @@ class TestPoolReuse:
     def test_shared_pool_records_equal_lone_replicates(self, monkeypatch, cfg):
         shared = self.records(monkeypatch, cfg)
         assert shared == [_run_replicate(cfg, r) for r in range(cfg.reps)]
-
-    def test_pool_seeds_from_the_scenario_seed_alone(self, monkeypatch):
-        seeds = []
-
-        def counted(sigma, n_samples, seed):
-            seeds.append(seed)
-            return make_mc_pool(sigma, n_samples, seed=seed)
-
-        monkeypatch.setattr("rankci.simharness.make_mc_pool", counted)
-        cfg = comparison_scenario(6, reps=8, seed=3, mc_samples=2_000)
-        run_coverage(cfg)
-        assert len(seeds) > 1 and set(seeds) == {_child_seed(3, _TAG_POOL)}
 
 
 class TestRunComparison:
