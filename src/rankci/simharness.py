@@ -232,10 +232,9 @@ class _Outcome(NamedTuple):
 class _LivePool:
     """The one Monte-Carlo pool a scenario run keeps alive.
 
-    Every pool is drawn from the seed ``(cfg.seed, _TAG_POOL)``, for the
-    sorted sigmas that asked for it, so it depends on ``(cfg, sorted sigma)``
-    alone and its cached full-range and negative-pair row maxima serve every
-    replicate with those sigmas.
+    It is drawn from the seed ``(cfg.seed, _TAG_POOL)`` for the sorted sigmas
+    that last asked for a different pool, so it depends on
+    ``(cfg, sorted sigma)`` alone.
     """
 
     def __init__(self, cfg: ScenarioConfig):
