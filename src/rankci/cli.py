@@ -2,9 +2,11 @@
 
 Input files are delimited text (comma or tab, autodetected) with header
 columns ``id``, ``estimate``, ``std_error``; extra columns are ignored.
-Human-readable tables go to stdout; machine-readable JSON/TSV goes to files
-and embeds the run manifest, minus the timestamp, so a rerun with the same
-flags and seed reproduces the bytes exactly.
+Human-readable tables go to stdout, headed by the run's start time;
+machine-readable JSON/TSV goes to files and embeds the run manifest, which
+holds no time, so a rerun with the same flags and seed reproduces the bytes
+exactly.  An unwritable output path or a negative seed ends the run with one
+``error:`` line and exit status 2.
 """
 
 import argparse
@@ -19,7 +21,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .bootstrap import BootstrapConfig, zhang_simultaneous
-from .core import CenterSample
+from .core import KNOWN_METHODS, CenterSample
 from .mcquantile import DEFAULT_MC_SAMPLES, _in_background, make_mc_pool
 from .rankability import rankability_estimate
 from .seqtukey import sequential_tukey
@@ -46,7 +48,12 @@ class IngestError(Exception):
 
 @dataclass(frozen=True)
 class RunManifest:
-    """What produced an output; embedded in every machine-readable file."""
+    """What produced an output; embedded in every machine-readable file.
+
+    It holds no time: the run's start time is printed in the human header
+    only, so a rerun with identical flags and seed reproduces every output
+    file byte for byte.
+    """
 
     input: str
     method: str
@@ -55,21 +62,9 @@ class RunManifest:
     boot_samples: int
     seed: int
     out_format: str
-    timestamp: str
-
-    @classmethod
-    def create(cls, **kwargs) -> "RunManifest":
-        return cls(timestamp=datetime.now(timezone.utc).isoformat(), **kwargs)
 
     def as_dict(self) -> dict:
-        """Every field but the timestamp, which only the human table shows.
-
-        A rerun with identical flags and seed then reproduces every output
-        file byte for byte.
-        """
-        d = dataclasses.asdict(self)
-        del d["timestamp"]
-        return d
+        return dataclasses.asdict(self)
 
 
 def ingest_estimates(path: str) -> CenterSample:
@@ -153,15 +148,13 @@ def _run_methods(sample: CenterSample, methods, alpha, mc_samples, boot_samples,
                 cis_half, _ = sequential_tukey(sample, 0.5, pool)
                 entry["iterations"] = cis.iterations
                 entry["trace"] = trace
-            elif m == "zhang":
+            else:
                 res, res_half = join_bootstrap()
                 cis = res.cis
                 cis_half = res_half.cis
                 entry["achieved_coverage"] = res.achieved_coverage
                 entry["beta_final"] = res.beta_final
                 entry["converged"] = res.converged
-            else:
-                raise ValueError(f"unknown method {m!r}")
             entry["cis"] = cis
             if sample.n >= 2:
                 entry["rankability"] = rankability_estimate(cis)
@@ -192,9 +185,9 @@ def _rank_rows(sample: CenterSample, results):
     return centers, bounds
 
 
-def _print_rank_table(manifest: RunManifest, results, centers, bounds) -> None:
+def _print_rank_table(manifest: RunManifest, started: str, results, centers, bounds) -> None:
     print(f"# {manifest.input}  alpha={manifest.alpha:g}  seed={manifest.seed}  "
-          f"run at {manifest.timestamp}")
+          f"run at {started}")
     for method, entry in results.items():
         print(f"\nmethod: {method}")
         print(f"{'id':<12} {'estimate':>12} {'std_error':>10} {'rank':>5} {'L':>4} {'U':>4}")
@@ -250,8 +243,11 @@ def _center_cells(row) -> str:
 
 
 def _write_lines(path: str, lines) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise IngestError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(args, manifest: RunManifest, body: dict, tsv_header: str, tsv_rows) -> None:
@@ -271,8 +267,9 @@ def _emit(args, manifest: RunManifest, body: dict, tsv_header: str, tsv_rows) ->
 
 def cmd_rank(args) -> int:
     sample = ingest_estimates(args.input)
-    methods = ("tukey", "seqtukey", "zhang") if args.method == "all" else (args.method,)
-    manifest = RunManifest.create(
+    methods = KNOWN_METHODS if args.method == "all" else (args.method,)
+    started = datetime.now(timezone.utc).isoformat()
+    manifest = RunManifest(
         input=args.input, method=args.method, alpha=args.alpha,
         mc_samples=args.mc_samples, boot_samples=args.boot_samples,
         seed=args.seed, out_format=args.out,
@@ -280,7 +277,7 @@ def cmd_rank(args) -> int:
     results = _run_methods(sample, methods, args.alpha,
                            args.mc_samples, args.boot_samples, args.seed)
     centers, bounds = _rank_rows(sample, results)
-    _print_rank_table(manifest, results, centers, bounds)
+    _print_rank_table(manifest, started, results, centers, bounds)
     if args.trace:
         _print_trace(results)
     _emit(args, manifest,
@@ -318,7 +315,7 @@ def _whole_number(spec: dict, key: str, default: int, path: str) -> int:
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    methods = tuple(args.methods.split(",")) if args.methods else ("tukey", "seqtukey", "zhang")
+    methods = tuple(args.methods.split(",")) if args.methods else KNOWN_METHODS
     if args.scenario in PRESET_CENTERS:
         return preset_scenario(
             args.scenario, reps=args.reps, alpha=args.alpha, seed=args.seed,
@@ -372,13 +369,14 @@ def _load_scenario(args) -> ScenarioConfig:
 
 def cmd_simulate(args) -> int:
     cfg = _load_scenario(args)
-    manifest = RunManifest.create(
+    started = datetime.now(timezone.utc).isoformat()
+    manifest = RunManifest(
         input=cfg.name, method=",".join(cfg.methods), alpha=cfg.alpha,
         mc_samples=cfg.mc_samples, boot_samples=cfg.boot.n_boot,
         seed=cfg.seed, out_format=args.out,
     )
     report = run_coverage(cfg)
-    print(f"# run at {manifest.timestamp}")
+    print(f"# run at {started}")
     print(report.format_table())
     summaries = [stats.summary() for stats in report.methods.values()]
     _emit(args, manifest, {"report": report.as_dict()},
@@ -396,31 +394,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_rank = sub.add_parser("rank", help="rank centers from an estimates file")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--alpha", type=float, default=0.05)
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--mc-samples", type=int, default=DEFAULT_MC_SAMPLES)
+    shared.add_argument("--boot-samples", type=int, default=10_000)
+    shared.add_argument("--out", choices=["table", "json", "tsv"], default="table")
+    shared.add_argument("--out-file", default=None)
+
+    p_rank = sub.add_parser("rank", parents=[shared], help="rank centers from an estimates file")
     p_rank.add_argument("--input", required=True, help="delimited file: id, estimate, std_error")
-    p_rank.add_argument("--alpha", type=float, default=0.05)
-    p_rank.add_argument("--method", choices=["tukey", "seqtukey", "zhang", "all"],
-                        default="seqtukey")
-    p_rank.add_argument("--mc-samples", type=int, default=DEFAULT_MC_SAMPLES)
-    p_rank.add_argument("--boot-samples", type=int, default=10_000)
-    p_rank.add_argument("--seed", type=int, default=0)
-    p_rank.add_argument("--out", choices=["table", "json", "tsv"], default="table")
-    p_rank.add_argument("--out-file", default=None)
+    p_rank.add_argument("--method", choices=[*KNOWN_METHODS, "all"], default="seqtukey")
     p_rank.add_argument("--plot-data", default=None, help="write band-chart data to this path")
     p_rank.add_argument("--trace", action="store_true", help="print the sequential trace")
     p_rank.set_defaults(func=cmd_rank)
 
-    p_sim = sub.add_parser("simulate", help="coverage simulation under known truths")
+    p_sim = sub.add_parser("simulate", parents=[shared],
+                           help="coverage simulation under known truths")
     p_sim.add_argument("--scenario", required=True,
                        help="paper1|paper2|paper3|paper4 or file:<path>")
     p_sim.add_argument("--reps", type=int, default=100)
-    p_sim.add_argument("--alpha", type=float, default=0.05)
-    p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--methods", default=None, help="comma-separated subset of methods")
-    p_sim.add_argument("--mc-samples", type=int, default=DEFAULT_MC_SAMPLES)
-    p_sim.add_argument("--boot-samples", type=int, default=10_000)
-    p_sim.add_argument("--out", choices=["table", "json", "tsv"], default="table")
-    p_sim.add_argument("--out-file", default=None)
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 

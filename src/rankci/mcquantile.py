@@ -274,14 +274,15 @@ def pair_row_maxima(pool: McPool, i_idx: np.ndarray, j_idx: np.ndarray) -> np.nd
     return out
 
 
-def _fill_row_maxima(pool: McPool, key: str) -> None:
-    """Cache the ``"full"`` or ``"negative"`` row maxima; unequal sigmas cache both.
+def _fill_row_maxima(pool: McPool) -> None:
+    """Cache the ``"full"`` and ``"negative"`` row maxima in one pass.
 
     With equal sigmas and scale ``s``, both reduce to order statistics of
-    each row: the full maximum is ``(max - min) / s`` and the negative-pair
-    maximum is ``max_j (max_{i<j} Y_i - Y_j) / s``, a running prefix maximum.
-    IEEE subtraction and division by ``s > 0`` round monotonically, so both
-    are bit for bit the maxima over the pairs.
+    each row: the negative-pair maximum is ``max_j (max_{i<j} Y_i - Y_j) / s``,
+    a running prefix maximum, and the prefix ends at the row's maximum, so the
+    full maximum is ``(prefix - min) / s``.  IEEE subtraction and division by
+    ``s > 0`` round monotonically, so both are bit for bit the maxima over the
+    pairs.
 
     With unequal sigmas one pass over the unordered pairs i > j keeps the
     row-wise max and min of ``d_ij``.  IEEE subtraction is exactly
@@ -292,26 +293,22 @@ def _fill_row_maxima(pool: McPool, key: str) -> None:
     """
     cols = pool._cols
     sigma = pool.sigma
+    full, negative = np.empty(pool.n_samples), np.empty(pool.n_samples)
     if np.all(sigma == sigma[0]):
         scale = np.sqrt(sigma[0] ** 2 + sigma[0] ** 2)
-        out = np.empty(pool.n_samples)
-        outputs = {key: out}
 
         def kernel(start, stop):
-            span, row_max = cols[:, start:stop], out[start:stop]
-            if key == "full":
-                np.subtract(span.max(axis=0), span.min(axis=0), out=row_max)
-            else:
-                row_max.fill(-np.inf)
-                prefix = span[0].copy()
-                diff = np.empty(stop - start)
-                for row in span[1:]:
-                    np.maximum(row_max, np.subtract(prefix, row, out=diff), out=row_max)
-                    np.maximum(prefix, row, out=prefix)
-            row_max /= scale
+            span, upper, lower = cols[:, start:stop], full[start:stop], negative[start:stop]
+            lower.fill(-np.inf)
+            prefix = span[0].copy()
+            diff = np.empty(stop - start)
+            for row in span[1:]:
+                np.maximum(lower, np.subtract(prefix, row, out=diff), out=lower)
+                np.maximum(prefix, row, out=prefix)
+            np.subtract(prefix, span.min(axis=0), out=upper)
+            upper /= scale
+            lower /= scale
     else:
-        full, negative = np.empty(pool.n_samples), np.empty(pool.n_samples)
-        outputs = {"full": full, "negative": negative}
         i_idx, j_idx = np.tril_indices(pool.n_centers, k=-1)
 
         def kernel(start, stop):
@@ -326,14 +323,18 @@ def _fill_row_maxima(pool: McPool, key: str) -> None:
             np.maximum(upper, lower, out=upper)
 
     _over_row_spans(pool.n_samples, kernel)
-    for name, values in outputs.items():
+    for name, values in (("full", full), ("negative", negative)):
         values.setflags(write=False)
         pool._row_maxima[name] = values
 
 
-def _check_pairs_exist(pool: McPool) -> None:
+def _cached_row_maxima(pool: McPool, key: str) -> np.ndarray:
+    """The pool's ``"full"`` or ``"negative"`` row maxima, filling both on first use."""
     if pool.n_centers < 2:
         raise ValueError("need at least 2 centers to form a pair")
+    if key not in pool._row_maxima:
+        _fill_row_maxima(pool)
+    return pool._row_maxima[key]
 
 
 def full_row_maxima(pool: McPool) -> np.ndarray:
@@ -342,12 +343,10 @@ def full_row_maxima(pool: McPool) -> np.ndarray:
     With equal sigmas the maximum reduces to the standardized range
     (max - min); with unequal sigmas the n(n-1)/2 unordered pairs are visited
     once, taking ``|Y_i - Y_j| / sqrt(sigma_i^2 + sigma_j^2)``.  The vector is
-    computed once per pool and returned read-only from its cache.
+    computed once per pool, with :func:`negative_row_maxima`, and returned
+    read-only from its cache.
     """
-    _check_pairs_exist(pool)
-    if "full" not in pool._row_maxima:
-        _fill_row_maxima(pool, "full")
-    return pool._row_maxima["full"]
+    return _cached_row_maxima(pool, "full")
 
 
 def negative_row_maxima(pool: McPool) -> np.ndarray:
@@ -355,13 +354,10 @@ def negative_row_maxima(pool: McPool) -> np.ndarray:
 
     These are the negative pairs of a sorted sample, which the sequential
     procedure keeps in every round.  With equal sigmas this is a running
-    prefix maximum, O(n) per row.  The vector is computed once per pool and
-    returned read-only from its cache.
+    prefix maximum, O(n) per row.  The vector is computed once per pool, with
+    :func:`full_row_maxima`, and returned read-only from its cache.
     """
-    _check_pairs_exist(pool)
-    if "negative" not in pool._row_maxima:
-        _fill_row_maxima(pool, "negative")
-    return pool._row_maxima["negative"]
+    return _cached_row_maxima(pool, "negative")
 
 
 def cached_restricted_row_maxima(pool: McPool):

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bootstrap import BootstrapConfig, zhang_simultaneous
-from .core import CenterSample, true_set_ranks, truth_partition
+from .core import KNOWN_METHODS, CenterSample, true_set_ranks, truth_partition
 from .mcquantile import (
     DEFAULT_MC_SAMPLES,
     McPool,
@@ -54,8 +54,6 @@ __all__ = [
     "PRESET_CENTERS",
 ]
 
-ALL_METHODS = ("tukey", "seqtukey", "zhang")
-
 # Benchmark center configurations: 10 centers, unit standard errors, with
 # spreads from near-tied to well separated.
 PRESET_CENTERS = {
@@ -69,7 +67,13 @@ _TAG_DATA, _TAG_POOL, _TAG_BOOT, _TAG_SIGMA = 1, 2, 3, 4
 
 
 def _child_seed(master: int, *parts: int) -> int:
-    """Deterministic child seed from the master seed and integer tags."""
+    """Deterministic child seed from the master seed and integer tags.
+
+    Every seed of a run passes through here, so a negative master seed is
+    refused here, by name, before any work.
+    """
+    if int(master) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {master}")
     state = np.random.SeedSequence((int(master),) + tuple(int(p) for p in parts))
     return int(state.generate_state(1, np.uint64)[0])
 
@@ -83,7 +87,7 @@ class ScenarioConfig:
     alpha: float = 0.05
     reps: int = 100
     seed: int = 0
-    methods: tuple = ALL_METHODS
+    methods: tuple = KNOWN_METHODS
     mc_samples: int = DEFAULT_MC_SAMPLES
     boot: BootstrapConfig = BootstrapConfig()
     name: str = "custom"
@@ -102,9 +106,9 @@ class ScenarioConfig:
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
         methods = tuple(dict.fromkeys(self.methods))
-        unknown = [m for m in methods if m not in ALL_METHODS]
+        unknown = [m for m in methods if m not in KNOWN_METHODS]
         if unknown or not methods:
-            raise ValueError(f"methods must be a nonempty subset of {ALL_METHODS}")
+            raise ValueError(f"methods must be a nonempty subset of {KNOWN_METHODS}")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "methods", methods)
@@ -250,7 +254,7 @@ class _LivePool:
         return self._pool
 
 
-def _run_replicate(cfg: ScenarioConfig, r: int, set_ranks=None, live_pool=None):
+def _run_replicate(cfg: ScenarioConfig, r: int, live_pool=None):
     """Draw replicate r's sample, run the requested methods and score each.
 
     Returns ``({method: _Outcome}, nested)``, where ``nested`` is False only
@@ -260,13 +264,12 @@ def _run_replicate(cfg: ScenarioConfig, r: int, set_ranks=None, live_pool=None):
     ``_LivePool``; a fresh one when not given), depends on ``cfg`` and the
     sample's sorted sigmas only.  seqtukey's restricted row maxima, which
     depend on the sample, are dropped from the pool before it is passed on.
-    ``set_ranks`` are the true set-ranks of ``cfg.mu``, computed when not
-    given.  The bootstrap never reads the pool, so it runs in a thread
-    beside the pool work.
+    Coverage is scored against the true set-ranks of ``cfg.mu``, computed
+    here, O(n^2) and small beside the methods.  The bootstrap never reads
+    the pool, so it runs in a thread beside the pool work.
     """
     mu, sigma = np.asarray(cfg.mu), np.asarray(cfg.sigma)
-    if set_ranks is None:
-        set_ranks = true_set_ranks(mu)
+    set_ranks = true_set_ranks(mu)
     if live_pool is None:
         live_pool = _LivePool(cfg)
     data_rng = np.random.default_rng(_child_seed(cfg.seed, r, _TAG_DATA))
@@ -326,9 +329,8 @@ def run_coverage(cfg: ScenarioConfig) -> CoverageReport:
     live pool (see ``_LivePool``), so with equal sigmas the pool is drawn
     and its full-range and negative-pair row maxima computed once per call.
     """
-    set_ranks = true_set_ranks(np.asarray(cfg.mu))
     live_pool = _LivePool(cfg)
-    runs = [_run_replicate(cfg, r, set_ranks, live_pool) for r in range(cfg.reps)]
+    runs = [_run_replicate(cfg, r, live_pool) for r in range(cfg.reps)]
     methods = {}
     for m in cfg.methods:
         columns = zip(*(outcomes[m] for outcomes, _ in runs))
@@ -339,12 +341,12 @@ def run_coverage(cfg: ScenarioConfig) -> CoverageReport:
         scenario=cfg,
         methods=methods,
         nestedness_violations=sum(not nested for _, nested in runs) if both_tested else None,
-        true_rankability=rankability_true(set_ranks) if cfg.n >= 2 else None,
+        true_rankability=rankability_true(true_set_ranks(cfg.mu)) if cfg.n >= 2 else None,
     )
 
 
 def preset_scenario(name: str, *, reps: int = 100, alpha: float = 0.05,
-                    seed: int = 0, methods: tuple = ALL_METHODS,
+                    seed: int = 0, methods: tuple = KNOWN_METHODS,
                     mc_samples: int = DEFAULT_MC_SAMPLES,
                     n_boot: int = 10_000) -> ScenarioConfig:
     """One of the built-in 10-center benchmark scenarios (paper1..paper4).

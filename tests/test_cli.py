@@ -219,6 +219,24 @@ class TestCmdRank:
         assert len(err) == 1
         assert err[0].startswith("error:")
 
+    @pytest.mark.parametrize("flags", [["--out", "json", "--out-file"], ["--plot-data"]],
+                             ids=["out-file", "plot-data"])
+    def test_unwritable_output_exits_with_one_line(self, estimates_file, tmp_path, capsys,
+                                                   flags):
+        path = str(tmp_path / "missing" / "out")
+        rc = main(["rank", "--input", estimates_file, "--method", "tukey",
+                   "--mc-samples", "2000", *flags, path])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot write {path}: ")
+
+    def test_negative_seed_named_in_one_line(self, estimates_file, capsys):
+        assert main(["rank", "--input", estimates_file, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_pool_larger_than_memory_exits_with_one_line(self, estimates_file, capsys):
         rc = main(["rank", "--input", estimates_file, "--method", "tukey",
                    "--mc-samples", str(10**13)])
@@ -364,6 +382,28 @@ class TestCmdSimulate:
         assert err.startswith("error: scenario file ") and err.count("\n") == 1
         assert err.endswith(f"'name' must be a string, got {json.dumps(name)}\n")
         assert not out_file.exists()
+
+    def test_unwritable_out_file_exits_with_one_line(self, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "sim.json")
+        rc = main(["simulate", "--scenario", "paper4", "--reps", "1", "--methods", "tukey",
+                   "--mc-samples", "2000", "--out", "json", "--out-file", path])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot write {path}: ")
+
+    @pytest.mark.parametrize("route", ["flag", "scenario-file"])
+    def test_negative_seed_named_in_one_line(self, tmp_path, capsys, route):
+        if route == "flag":
+            argv, value = ["simulate", "--scenario", "paper4", "--seed", "-3"], -3
+        else:
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps({"mu": [1, 2, 3], "seed": -1}))
+            argv, value = ["simulate", "--scenario", f"file:{path}"], -1
+        assert main(argv + ["--reps", "1", "--mc-samples", "2000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: seed must be a non-negative integer, got {value}\n"
 
     def test_scenario_whole_floats_accepted(self, tmp_path, capsys):
         spec = {"mu": [0.0, 8.0], "reps": 2.0, "seed": 3.0, "mc_samples": 2000.0,

@@ -280,6 +280,23 @@ class TestRowMaximaCache:
         with pytest.raises(ValueError):
             negative_row_maxima(pool)
 
+    @pytest.mark.parametrize("negative_first", [False, True])
+    @pytest.mark.parametrize("sigma", sorted(SIGMAS))
+    def test_one_fill_serves_both_vectors(self, monkeypatch, sigma, negative_first):
+        calls = []
+        over_row_spans = mcquantile._over_row_spans
+
+        def counted(n_rows, kernel):
+            calls.append(n_rows)
+            over_row_spans(n_rows, kernel)
+
+        monkeypatch.setattr(mcquantile, "_over_row_spans", counted)
+        pool = make_mc_pool(self.SIGMAS[sigma][:6], 1_000, seed=3)
+        accessors = [full_row_maxima, negative_row_maxima]
+        for accessor in accessors[::-1] if negative_first else accessors:
+            accessor(pool)
+        assert calls == [1_000]
+
 
 class TestRowSpans:
     """Kernels split over uneven row spans give the bits of one loop."""
