@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CenterSample, RankInterval, SimultaneousRankCIs
+from .mcquantile import _check_fits_memory
 
 __all__ = [
     "BootstrapConfig",
@@ -111,6 +112,8 @@ def _bootstrap_ranks(sample: CenterSample, cfg: BootstrapConfig) -> np.ndarray:
     by the same two operations, so every value, and every rank, is the same
     bit for bit, while the K x n float matrix is never allocated.
     """
+    _check_fits_memory(cfg.n_boot * sample.n * 4,
+                       f"a bootstrap rank matrix of {cfg.n_boot} x {sample.n}", "--boot-samples")
     rng = np.random.default_rng(cfg.seed)
     ranks = np.empty((cfg.n_boot, sample.n), dtype=np.int32)
     chunk = np.empty((min(_RANK_CHUNK_ROWS, cfg.n_boot), sample.n))

@@ -9,8 +9,8 @@ The two row-maxima vectors that do not depend on the data, over all pairs and
 over the negative pairs, are computed once per pool and cached on it, so every
 alpha and every method reads its critical value from the same vectors.  The
 pool also keeps the last restricted row maxima the sequential procedure
-stored, with their pair mask, so its next round can start from them, until
-a caller that passes the pool on to other data drops them.
+stored, with their pair mask, so its next round can start from them.  They
+depend on the pool and the mask alone; dropping them only bounds memory.
 
 The pool is one column-major buffer, so every pairwise operation reads two
 contiguous columns.  The row-maxima kernels split the pool rows into
@@ -50,7 +50,7 @@ _DRAW_CHUNK_ROWS = 4096
 _MIN_SPAN_ROWS = 25_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class McPool:
     """Frozen N x n matrix of independent centered Gaussian draws.
 
@@ -60,7 +60,7 @@ class McPool:
 
     The draws are stored once: ``_cols`` is the C-contiguous n x N buffer,
     one row per center, and ``draws`` is its transpose, a view.  Both are
-    read-only.
+    read-only.  Pools compare and hash by identity.
 
     The pool also carries a cache of row-maxima vectors, each of length N,
     filled on first use by :func:`full_row_maxima` and
@@ -70,33 +70,25 @@ class McPool:
     from the same pool.
     """
 
-    draws: np.ndarray
+    _cols: np.ndarray = field(repr=False)
     sigma: np.ndarray
     seed: int
-    _cols: np.ndarray = field(init=False, repr=False, compare=False)
-    _row_maxima: dict = field(init=False, repr=False, compare=False)
+    _row_maxima: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        draws = np.asarray(self.draws, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
-        if draws.ndim != 2:
-            raise ValueError("draws must be a 2-d matrix")
-        if draws.shape[1] != sigma.size:
-            raise ValueError("draws must have one column per sigma")
-        draws.setflags(write=False)
-        sigma.setflags(write=False)
-        # column-contiguous: pairwise column ops dominate the runtime.  No
-        # copy when draws is already the transpose of a C-contiguous buffer.
-        cols = np.ascontiguousarray(draws.T)
-        cols.setflags(write=False)
-        object.__setattr__(self, "draws", draws)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "_cols", cols)
-        object.__setattr__(self, "_row_maxima", {})
+        if self._cols.ndim != 2 or len(self._cols) != self.sigma.size:
+            raise ValueError("the pool buffer must have one row per sigma")
+        self._cols.setflags(write=False)
+        self.sigma.setflags(write=False)
+
+    @property
+    def draws(self) -> np.ndarray:
+        """The N x n draws, one column per center: a view of ``_cols``."""
+        return self._cols.T
 
     @property
     def n_samples(self) -> int:
-        return self.draws.shape[0]
+        return self._cols.shape[1]
 
     @property
     def n_centers(self) -> int:
@@ -107,21 +99,19 @@ class McPool:
 
     def take_rows(self, rows) -> "McPool":
         """A pool of the given rows of this one, copied, with an empty cache."""
-        return McPool(draws=np.take(self._cols, rows, axis=1).T, sigma=self.sigma, seed=self.seed)
+        return McPool(np.take(self._cols, rows, axis=1), self.sigma, self.seed)
 
 
-def _check_pool_fits_memory(n_samples: int, n_centers: int) -> None:
-    """Refuse a pool larger than physical memory, before allocating it."""
-    need = n_samples * n_centers * 8
+def _check_fits_memory(need: int, what: str, flag: str) -> None:
+    """Refuse ``need`` bytes for ``what`` beyond physical memory; the error names ``flag``."""
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return
     if 0 < have < need:
         raise ValueError(
-            f"a Monte-Carlo pool of {n_samples} x {n_centers} draws needs "
-            f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of "
-            f"physical memory; use a smaller --mc-samples"
+            f"{what} needs {need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of "
+            f"physical memory; use a smaller {flag}"
         )
 
 
@@ -146,7 +136,8 @@ def make_mc_pool(sigma, n_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0) -> M
     n_samples = int(n_samples)
     if n_samples < MC_SAMPLES_FLOOR:
         raise ValueError(f"n_samples={n_samples} is below the floor of {MC_SAMPLES_FLOOR}")
-    _check_pool_fits_memory(n_samples, sigma.size)
+    _check_fits_memory(n_samples * sigma.size * 8,
+                       f"a Monte-Carlo pool of {n_samples} x {sigma.size} draws", "--mc-samples")
     rng = np.random.default_rng(seed)
     # standard_normal fills its output in C order from one stream, so chunks
     # of rows hold the values of a single (n_samples, n) draw; each chunk is
@@ -157,7 +148,7 @@ def make_mc_pool(sigma, n_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0) -> M
         stop = min(start + _DRAW_CHUNK_ROWS, n_samples)
         rows = rng.standard_normal(out=chunk[: stop - start])
         np.multiply(rows.T, sigma[:, None], out=cols[:, start:stop])
-    return McPool(draws=cols.T, sigma=sigma, seed=int(seed))
+    return McPool(cols, sigma, int(seed))
 
 
 def empirical_quantile(values: np.ndarray, alpha: float) -> float:

@@ -262,8 +262,8 @@ def _run_replicate(cfg: ScenarioConfig, r: int, live_pool=None):
     on ``(cfg, r)`` alone: the sample and the bootstrap seed from
     ``(cfg.seed, r, tag)``, and the pool, taken from ``live_pool`` (a
     ``_LivePool``; a fresh one when not given), depends on ``cfg`` and the
-    sample's sorted sigmas only.  seqtukey's restricted row maxima, which
-    depend on the sample, are dropped from the pool before it is passed on.
+    sample's sorted sigmas only.  seqtukey's restricted row maxima depend on
+    the pool and their mask alone; they are dropped only to bound memory.
     Coverage is scored against the true set-ranks of ``cfg.mu``, computed
     here, O(n^2) and small beside the methods.  The bootstrap never reads
     the pool, so it runs in a thread beside the pool work.

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import os
 import re
 import threading
 
 import pytest
 
+from rankci import bootstrap
 from rankci.bootstrap import zhang_simultaneous
-from rankci.cli import IngestError, ingest_estimates, main
+from rankci.cli import IngestError, _run_methods, ingest_estimates, main
 from rankci.core import CenterSample
 from rankci.mcquantile import make_mc_pool, studentized_range_quantile
 from rankci.seqtukey import sequential_tukey
@@ -305,6 +307,32 @@ class TestBootstrapBesidePool:
         assert "--mc-samples" in line
         # the refusal waited for the bootstrap thread before main returned
         assert finished.is_set()
+
+    @pytest.mark.parametrize("route", ["rank", "simulate"])
+    def test_oversized_bootstrap_exits_with_one_line(self, estimates_file, tmp_path, route,
+                                                      capsys):
+        if route == "rank":
+            argv = ["rank", "--input", estimates_file, "--method", "zhang",
+                    "--boot-samples", str(10**13)]
+        else:
+            scenario = tmp_path / "scenario.json"
+            scenario.write_text(json.dumps({"mu": [1, 2, 3], "n_boot": 10**13}))
+            argv = ["simulate", "--scenario", f"file:{scenario}", "--reps", "1",
+                    "--mc-samples", "1000"]
+        assert "--boot-samples" in self._one_error_line(argv, capsys)
+
+    @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="physical memory unknown")
+    def test_oversized_bootstrap_refused_before_allocating(self, estimates_file, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("rank matrix allocated before the memory check")
+
+        sample = ingest_estimates(estimates_file)
+        monkeypatch.setattr(bootstrap.np, "empty", no_allocation)
+        monkeypatch.setattr(bootstrap.np.random, "default_rng", no_allocation)
+        threads_before = threading.active_count()
+        with pytest.raises(ValueError, match="--boot-samples"):
+            _run_methods(sample, ("zhang",), 0.05, 1000, 10**13, seed=0)
+        assert threading.active_count() == threads_before
 
     def test_alpha_out_of_range_raises_on_both_threads(self, estimates_file, capsys):
         line = self._one_error_line(["rank", "--input", estimates_file, "--method", "all",

@@ -82,6 +82,12 @@ class TestMakeMcPool:
         assert np.shares_memory(pool.draws, pool._cols)
         assert not pool.draws.flags.writeable and not pool._cols.flags.writeable
 
+    def test_pools_compare_by_identity(self):
+        pool = make_mc_pool([1.0, 2.0], 1000, seed=1)
+        twin = make_mc_pool([1.0, 2.0], 1000, seed=1)
+        assert pool != twin and pool == pool
+        assert {pool: "a", twin: "b"}[pool] == "a"
+
     @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="physical memory unknown")
     def test_larger_than_memory_rejected_before_allocating(self, monkeypatch):
         def no_allocation(*args, **kwargs):
