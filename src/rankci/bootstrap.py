@@ -10,9 +10,9 @@ method is reproduced faithfully, not repaired.
 
 The joint method never reads the Monte-Carlo pool, so the command line and
 the simulation harness run it in a thread of its own beside the pool fill
-and the Tukey kernels.  It draws, scales and ranks the K replicates a chunk
-of rows at a time and holds only the K x n ``int32`` rank matrix, never the
-K x n float draws.
+and the Tukey kernels.  It draws, scales, ranks and counts the K replicates
+a chunk of rows at a time into one count table (:class:`RankCounts`), so each
+bisection step is one O(K) count; ``rank`` bisects both its levels on it.
 """
 
 import math
@@ -24,13 +24,8 @@ import numpy as np
 from .core import CenterSample, RankInterval, SimultaneousRankCIs
 from .mcquantile import _check_fits_memory
 
-__all__ = [
-    "BootstrapConfig",
-    "ZhangResult",
-    "make_bootstrap_draws",
-    "spiegelhalter_pointwise",
-    "zhang_simultaneous",
-]
+__all__ = ["BootstrapConfig", "RankCounts", "ZhangResult", "make_bootstrap_draws",
+           "spiegelhalter_pointwise", "zhang_simultaneous"]
 
 #: Bootstrap replicates drawn, scaled and ranked at a time.
 _RANK_CHUNK_ROWS = 4096
@@ -66,7 +61,11 @@ class ZhangResult:
 
 
 def _type3_index(size: int, p: float) -> int:
-    """1-based order statistic that :func:`quantile_type3` picks among ``size`` values."""
+    """1-based nearest order statistic among ``size`` values (SAS convention, R's ``type = 3``).
+
+    With ``nppm = size p - 1/2``, take order statistic ``floor(nppm)`` when
+    ``nppm`` hits an even integer, else ``floor(nppm) + 1``, clamped to ``[1, size]``.
+    """
     nppm = size * p - 0.5
     j = math.floor(nppm + 1e-9)
     g = nppm - j
@@ -75,12 +74,7 @@ def _type3_index(size: int, p: float) -> int:
 
 
 def quantile_type3(sorted_values: np.ndarray, p: float) -> float:
-    """Nearest-order-statistic quantile (SAS convention, R's ``type = 3``).
-
-    With ``nppm = n p - 1/2``, take order statistic ``floor(nppm)`` when
-    ``nppm`` hits an even integer, else ``floor(nppm) + 1``, clamped to
-    ``[1, n]`` (1-based).
-    """
+    """Nearest-order-statistic quantile of sorted values, at :func:`_type3_index`."""
     return float(sorted_values[_type3_index(sorted_values.size, p) - 1])
 
 
@@ -90,18 +84,12 @@ def make_bootstrap_draws(sample: CenterSample, cfg: BootstrapConfig) -> np.ndarr
     return rng.standard_normal((cfg.n_boot, sample.n)) * sample.sigma[None, :] + sample.y[None, :]
 
 
-def _rank_into(draws: np.ndarray, out: np.ndarray) -> None:
-    """Write the 1-based rank of each entry within its row into ``out`` (ties by position)."""
-    order = np.argsort(draws, axis=1, kind="stable")
+def _rank_rows(draws: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1-based ``int32`` rank of every entry within its row (ties by position), into ``out``."""
+    out = np.empty(draws.shape, dtype=np.int32) if out is None else out
     positions = np.arange(1, draws.shape[1] + 1, dtype=out.dtype)
-    np.put_along_axis(out, order, positions[None, :], axis=1)
-
-
-def _rank_rows(draws: np.ndarray) -> np.ndarray:
-    """1-based ``int32`` rank of every entry within its row (ties broken by position)."""
-    ranks = np.empty(draws.shape, dtype=np.int32)
-    _rank_into(draws, ranks)
-    return ranks
+    np.put_along_axis(out, np.argsort(draws, axis=1, kind="stable"), positions[None, :], axis=1)
+    return out
 
 
 def _bootstrap_ranks(sample: CenterSample, cfg: BootstrapConfig) -> np.ndarray:
@@ -112,29 +100,71 @@ def _bootstrap_ranks(sample: CenterSample, cfg: BootstrapConfig) -> np.ndarray:
     by the same two operations, so every value, and every rank, is the same
     bit for bit, while the K x n float matrix is never allocated.
     """
-    _check_fits_memory(cfg.n_boot * sample.n * 4,
-                       f"a bootstrap rank matrix of {cfg.n_boot} x {sample.n}", "--boot-samples")
+    n, chunk_rows = sample.n, min(_RANK_CHUNK_ROWS, cfg.n_boot)
+    # the rank matrix, the two K-vectors of its RankCounts, one chunk's temporaries
+    _check_fits_memory(cfg.n_boot * (n + 2) * 4 + chunk_rows * n * 32,
+                       f"a bootstrap rank matrix of {cfg.n_boot} x {n}", "--boot-samples")
     rng = np.random.default_rng(cfg.seed)
-    ranks = np.empty((cfg.n_boot, sample.n), dtype=np.int32)
-    chunk = np.empty((min(_RANK_CHUNK_ROWS, cfg.n_boot), sample.n))
+    ranks = np.empty((cfg.n_boot, n), dtype=np.int32)
+    chunk = np.empty((chunk_rows, n))
     for start in range(0, cfg.n_boot, _RANK_CHUNK_ROWS):
         stop = min(start + _RANK_CHUNK_ROWS, cfg.n_boot)
         rows = rng.standard_normal(out=chunk[: stop - start])
         rows *= sample.sigma
         rows += sample.y
-        _rank_into(rows, ranks[start:stop])
+        _rank_rows(rows, ranks[start:stop])
     return ranks
 
 
-def _interval_bounds(sorted_ranks: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-center [beta/2, 1-beta/2] rank quantiles from presorted ranks.
+@dataclass(frozen=True, eq=False)
+class RankCounts:
+    """What both bootstrap methods read of K ranked replicates, ``int32`` below K = 2**31.
 
-    Every row holds the same K ranks, so one order-statistic index serves
-    every center and each bound is one column.
+    ``at_most[i, v] = #{k : ranks[k, i] <= v}`` for v in 0..n.  Replicate k
+    lies inside the bounds at type-3 indices (lo, hi) exactly when
+    ``fewest_at_most[k] = min_i at_most[i, ranks[k, i]] >= lo`` and
+    ``most_below[k] = max_i at_most[i, ranks[k, i] - 1] < hi``.
     """
-    k = sorted_ranks.shape[1]
-    return (sorted_ranks[:, _type3_index(k, beta / 2.0) - 1],
-            sorted_ranks[:, _type3_index(k, 1.0 - beta / 2.0) - 1])
+
+    at_most: np.ndarray
+    fewest_at_most: np.ndarray
+    most_below: np.ndarray
+
+    @classmethod
+    def of(cls, ranks: np.ndarray) -> "RankCounts":
+        """Count K x n 1-based ranks a chunk of rows at a time: bincount and take copy to int64."""
+        k, n = ranks.shape
+        cell0 = np.arange(0, n * (n + 1), n + 1, dtype=np.int32)  # flat index of (i, 0)
+        chunks = [slice(s, s + _RANK_CHUNK_ROWS) for s in range(0, k, _RANK_CHUNK_ROWS)]
+        counts = sum(np.bincount((ranks[rows] + cell0).ravel(), minlength=n * (n + 1))
+                     for rows in chunks)
+        count_type = np.int32 if k < 2**31 else np.int64
+        at_most = np.cumsum(counts.reshape(n, n + 1), axis=1, dtype=count_type)
+        fewest, below = np.empty((2, k), dtype=count_type)
+        for rows in chunks:  # centers x rows: reducing over centers is elementwise over rows
+            cells = np.add(ranks[rows].T, cell0[:, None], order="C")
+            np.min(np.take(at_most, cells), axis=0, out=fewest[rows])
+            np.max(np.take(at_most, cells - 1), axis=0, out=below[rows])
+        return cls(at_most, fewest, below)
+
+    @classmethod
+    def draw(cls, sample: CenterSample, cfg: BootstrapConfig) -> "RankCounts":
+        """The counts of the replicates :func:`zhang_simultaneous` draws for ``(sample, cfg)``."""
+        return cls.of(_bootstrap_ranks(sample, cfg))
+
+    def _indices(self, beta: float) -> tuple[int, int]:
+        return tuple(_type3_index(self.most_below.size, p) for p in (beta / 2.0, 1.0 - beta / 2.0))
+
+    def intervals(self, beta: float) -> tuple[RankInterval, ...]:
+        """Per-center [beta/2, 1-beta/2] rank quantiles: a left searchsorted per row and index."""
+        lo, hi = (np.count_nonzero(self.at_most < j, axis=1).tolist() for j in self._indices(beta))
+        return tuple(map(RankInterval, lo, hi))
+
+    def coverage(self, beta: float) -> float:
+        """Fraction of replicates whose whole rank vector stays inside ``intervals(beta)``."""
+        lo, hi = self._indices(beta)
+        outside = (self.fewest_at_most < lo) | (self.most_below >= hi)
+        return 1.0 - np.count_nonzero(outside) / outside.size
 
 
 def spiegelhalter_pointwise(sample: CenterSample, beta: float,
@@ -142,81 +172,51 @@ def spiegelhalter_pointwise(sample: CenterSample, beta: float,
     """Pointwise rank CIs at level ``1 - beta`` from bootstrap replicates.
 
     Each replicate (row of ``boot_draws``) is ranked; center i's interval is
-    the [beta/2, 1-beta/2] empirical quantile range of its rank, using the
-    nearest-order-statistic convention.  Pointwise means valid one center at
-    a time; the family has no joint guarantee.
+    the type-3 [beta/2, 1-beta/2] quantile range of its rank.  Pointwise means
+    valid one center at a time; the family has no joint guarantee.
     """
     if not 0 < beta < 1:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
     boot_draws = np.asarray(boot_draws, dtype=float)
     if boot_draws.ndim != 2 or boot_draws.shape[1] != sample.n:
         raise ValueError("boot_draws must be a K x n matrix matching the sample")
-    k = boot_draws.shape[0]
-    if k * (beta / 2.0) < 1.5:
-        warnings.warn(
-            f"n_boot={k} is too small to resolve beta={beta:g}; "
-            "quantile indices collapse to the extremes",
-            stacklevel=2,
-        )
-    ranks = _rank_rows(boot_draws)
-    sorted_ranks = np.sort(ranks.T, axis=1)
-    lower, upper = _interval_bounds(sorted_ranks, beta)
-    return [RankInterval(int(lo), int(up)) for lo, up in zip(lower, upper)]
+    if len(boot_draws) * (beta / 2.0) < 1.5:
+        warnings.warn(f"n_boot={len(boot_draws)} is too small to resolve beta={beta:g}; "
+                      "quantile indices collapse to the extremes", stacklevel=2)
+    return list(RankCounts.of(_rank_rows(boot_draws)).intervals(beta))
 
 
-def _joint_coverage(ranks: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
-    """Fraction of replicates whose whole rank vector stays inside the bounds."""
-    outside = (ranks < lower[None, :]) | (ranks > upper[None, :])
-    return 1.0 - np.count_nonzero(outside.any(axis=1)) / ranks.shape[0]
-
-
-def zhang_simultaneous(sample: CenterSample, alpha: float,
-                       cfg: BootstrapConfig) -> ZhangResult:
+def zhang_simultaneous(sample: CenterSample, alpha: float, cfg: BootstrapConfig,
+                       ranked: RankCounts | None = None) -> ZhangResult:
     """Joint bootstrap rank CIs via bisection on the pointwise level.
 
     Bisects beta over (0, alpha]: when the estimated joint coverage of the
     pointwise family at level beta clears ``1 - alpha`` the bracket moves up
-    (narrower intervals), otherwise down.  One K x n draw matrix serves both
-    interval construction and coverage estimation; it is ranked a chunk of
-    rows at a time and never held as floats.  If the final candidate
-    under-covers, beta falls back to the last feasible bracket end, so the
-    reported coverage is at least ``1 - alpha`` whenever that fallback fires.
-
-    Returns a :class:`ZhangResult`; ``converged`` is False when the bracket
-    was still wider than ``cfg.precision`` at ``cfg.maxiter`` iterations.
+    (narrower intervals), otherwise down.  One K x n draw serves both
+    interval construction and coverage estimation; ``ranked``, if given, must
+    be its ``RankCounts.draw(sample, cfg)``, so several levels share one
+    ranking.  If the final candidate under-covers, beta falls back to the last
+    feasible bracket end, so the reported coverage is then at least ``1 - alpha``.
+    ``converged`` is False when the bracket was still wider than
+    ``cfg.precision`` at ``cfg.maxiter`` iterations.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    ranks = _bootstrap_ranks(sample, cfg)
-    sorted_ranks = np.sort(ranks.T, axis=1)
-
-    def coverage_at(beta: float) -> float:
-        lower, upper = _interval_bounds(sorted_ranks, beta)
-        return _joint_coverage(ranks, lower, upper)
-
-    beta1, beta2 = 0.0, alpha
+    if ranked is None:
+        ranked = RankCounts.draw(sample, cfg)
+    beta1, beta2, iterations = 0.0, alpha, 0
     beta = (beta1 + beta2) / 2.0
-    iterations = 0
     while abs(beta1 - beta2) > cfg.precision and iterations < cfg.maxiter:
-        if coverage_at(beta) >= 1.0 - alpha:
+        if ranked.coverage(beta) >= 1.0 - alpha:
             beta1 = beta
         else:
             beta2 = beta
         beta = (beta1 + beta2) / 2.0
         iterations += 1
     converged = abs(beta1 - beta2) <= cfg.precision
-
-    achieved = coverage_at(beta)
+    achieved = ranked.coverage(beta)
     if achieved < 1.0 - alpha:
         beta = beta1
-        achieved = coverage_at(beta)
-    lower, upper = _interval_bounds(sorted_ranks, beta)
-    intervals = tuple(RankInterval(int(lo), int(up)) for lo, up in zip(lower, upper))
-    cis = SimultaneousRankCIs(intervals, alpha, "zhang")
-    return ZhangResult(
-        cis=cis,
-        achieved_coverage=achieved,
-        beta_final=beta,
-        converged=converged,
-        iterations=iterations,
-    )
+        achieved = ranked.coverage(beta)
+    return ZhangResult(SimultaneousRankCIs(ranked.intervals(beta), alpha, "zhang"), achieved,
+                       beta, converged, iterations)

@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, zhang_simultaneous
+from .bootstrap import BootstrapConfig, RankCounts, zhang_simultaneous
 from .core import KNOWN_METHODS, CenterSample
 from .mcquantile import DEFAULT_MC_SAMPLES, _in_background, make_mc_pool
 from .rankability import rankability_estimate
@@ -126,13 +126,18 @@ def _run_methods(sample: CenterSample, methods, alpha, mc_samples, boot_samples,
 
     The bootstrap never reads the Monte-Carlo pool, so both of its levels
     run in a thread of their own, started before the pool fill and joined
-    where its intervals are needed.
+    where its intervals are needed.  Both are bisected on one ranked draw.
     """
     bootstrap = contextlib.nullcontext()
     if "zhang" in methods:
         bcfg = BootstrapConfig(n_boot=boot_samples, seed=_child_seed(seed, _TAG_BOOT))
-        bootstrap = _in_background(lambda: (zhang_simultaneous(sample, alpha, bcfg),
-                                            zhang_simultaneous(sample, 0.5, bcfg)))
+
+        def both_levels():
+            ranked = RankCounts.draw(sample, bcfg)
+            return (zhang_simultaneous(sample, alpha, bcfg, ranked),
+                    zhang_simultaneous(sample, 0.5, bcfg, ranked))
+
+        bootstrap = _in_background(both_levels)
     with bootstrap as join_bootstrap:
         pool = None
         if "tukey" in methods or "seqtukey" in methods:

@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rankci import bootstrap
 from rankci.bootstrap import (
     BootstrapConfig,
+    RankCounts,
     _bootstrap_ranks,
-    _interval_bounds,
     _rank_rows,
+    _type3_index,
     make_bootstrap_draws,
     quantile_type3,
     spiegelhalter_pointwise,
@@ -37,18 +42,163 @@ class TestQuantileType3:
 
 
 class TestIntervalBounds:
+    """The count table's bounds are the type-3 quantiles of each center's ranks."""
+
     @pytest.mark.parametrize("k", [1, 2, 37, 1000])
-    def test_one_column_per_bound_matches_per_row_quantiles(self, k):
+    def test_one_column_per_bound_matches_per_row_quantiles(self, monkeypatch, k):
+        monkeypatch.setattr(bootstrap, "_RANK_CHUNK_ROWS", 7)
         rng = np.random.default_rng(k)
-        sorted_ranks = np.sort(rng.integers(1, 9, size=(8, k), dtype=np.int32), axis=1)
+        ranks = rng.integers(1, 9, size=(k, 8), dtype=np.int32)
+        sorted_ranks = np.sort(ranks.T, axis=1)
+        counts = RankCounts.of(ranks)
         for beta in (1e-12, 1e-4, 0.01, 0.05, 0.2, 0.5, 0.9, 1 - 1e-12):
-            lower, upper = _interval_bounds(sorted_ranks, beta)
-            assert lower.tolist() == [quantile_type3(row, beta / 2) for row in sorted_ranks]
-            assert upper.tolist() == [quantile_type3(row, 1 - beta / 2) for row in sorted_ranks]
+            cis = counts.intervals(beta)
+            assert [c.lower for c in cis] == [quantile_type3(row, beta / 2) for row in sorted_ranks]
+            assert [c.upper for c in cis] == [quantile_type3(row, 1 - beta / 2)
+                                              for row in sorted_ranks]
         # a beta this small clamps both bounds to the extreme order statistics
-        lower, upper = _interval_bounds(sorted_ranks, 1e-12)
-        assert np.array_equal(lower, sorted_ranks[:, 0])
-        assert np.array_equal(upper, sorted_ranks[:, -1])
+        cis = counts.intervals(1e-12)
+        assert [c.lower for c in cis] == sorted_ranks[:, 0].tolist()
+        assert [c.upper for c in cis] == sorted_ranks[:, -1].tolist()
+
+
+def reference_bisection(ranks, alpha, cfg):
+    """The bisection over a K x n rank matrix, one K x n coverage pass per step.
+
+    Returns ``(bounds, achieved, beta, converged, iterations, fell_back)``.
+    """
+    k = ranks.shape[0]
+    sorted_ranks = np.sort(ranks.T, axis=1)
+
+    def bounds(beta):
+        return (sorted_ranks[:, _type3_index(k, beta / 2.0) - 1].tolist(),
+                sorted_ranks[:, _type3_index(k, 1.0 - beta / 2.0) - 1].tolist())
+
+    def coverage(beta):
+        lower, upper = (np.array(b) for b in bounds(beta))
+        outside = (ranks < lower[None, :]) | (ranks > upper[None, :])
+        return 1.0 - np.count_nonzero(outside.any(axis=1)) / k
+
+    beta1, beta2, iterations = 0.0, alpha, 0
+    beta = (beta1 + beta2) / 2.0
+    while abs(beta1 - beta2) > cfg.precision and iterations < cfg.maxiter:
+        if coverage(beta) >= 1.0 - alpha:
+            beta1 = beta
+        else:
+            beta2 = beta
+        beta = (beta1 + beta2) / 2.0
+        iterations += 1
+    converged = abs(beta1 - beta2) <= cfg.precision
+    achieved = coverage(beta)
+    fell_back = achieved < 1.0 - alpha
+    if fell_back:
+        beta = beta1
+        achieved = coverage(beta)
+    return bounds(beta), achieved, beta, converged, iterations, fell_back
+
+
+# replicates that make the last bisection candidate under-cover, so the
+# result falls back to the last feasible bracket end
+FALLBACK_CASES = [
+    ([[2, 1, 3], [3, 1, 2], [2, 3, 1], [2, 3, 1], [2, 1, 3], [3, 1, 2], [2, 1, 3], [1, 3, 2]],
+     0.9, 1e-6, 1),
+    ([[2, 3, 1], [3, 2, 1], [1, 3, 2], [2, 1, 3], [1, 2, 3], [1, 2, 3], [1, 2, 3]],
+     0.5, 1e-6, 2),
+]
+
+
+@st.composite
+def rank_matrices(draw):
+    """K x n rank matrices, rows permutations of 1..n; few distinct rows half of the time."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 40))
+    distinct = draw(st.integers(1, 3) | st.just(k))
+    rows = draw(st.lists(st.permutations(range(1, n + 1)), min_size=distinct,
+                         max_size=distinct))
+    picks = draw(st.lists(st.integers(0, distinct - 1), min_size=k, max_size=k))
+    return np.array([rows[p] for p in picks], dtype=np.int32).reshape(k, n)
+
+
+class TestCountTableBisection:
+    """The count-table bisection is the K x n bisection, result for result."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(ranks=rank_matrices(),
+           alpha=st.sampled_from([0.01, 0.05, 0.2, 0.5, 0.9]) | st.floats(0.001, 0.999),
+           precision=st.sampled_from([1e-6, 1e-2, 0.3]),
+           maxiter=st.integers(1, 60),
+           chunk_rows=st.sampled_from([1, 3, 4096]))
+    @example(ranks=np.array(FALLBACK_CASES[0][0], dtype=np.int32), alpha=0.9, precision=1e-6,
+             maxiter=1, chunk_rows=3)
+    @example(ranks=np.array(FALLBACK_CASES[1][0], dtype=np.int32), alpha=0.5, precision=1e-6,
+             maxiter=2, chunk_rows=4096)
+    @example(ranks=np.ones((5, 1), dtype=np.int32), alpha=0.05, precision=1e-6, maxiter=50,
+             chunk_rows=2)
+    def test_count_table_bisection_matches_reference(self, ranks, alpha, precision, maxiter,
+                                                     chunk_rows):
+        k, n = ranks.shape
+        cfg = BootstrapConfig(n_boot=k, precision=precision, maxiter=maxiter)
+        old_chunk, bootstrap._RANK_CHUNK_ROWS = bootstrap._RANK_CHUNK_ROWS, chunk_rows
+        try:
+            counts = RankCounts.of(ranks)
+        finally:
+            bootstrap._RANK_CHUNK_ROWS = old_chunk
+        # the table and both K-vectors, against their definitions
+        v = np.arange(n + 1)
+        at_most = (ranks.T[:, :, None] <= v[None, None, :]).sum(axis=1)
+        assert np.array_equal(counts.at_most, at_most)
+        rows = np.arange(n)
+        assert np.array_equal(counts.fewest_at_most, at_most[rows, ranks].min(axis=1))
+        assert np.array_equal(counts.most_below, at_most[rows, ranks - 1].max(axis=1))
+        assert counts.fewest_at_most.dtype == counts.most_below.dtype == np.int32
+
+        sample = CenterSample.from_observations(np.arange(n, dtype=float), np.ones(n))
+        res = zhang_simultaneous(sample, alpha, cfg, counts)
+        bounds, achieved, beta, converged, iterations, _ = reference_bisection(ranks, alpha, cfg)
+        assert ([c.lower for c in res.cis.intervals], [c.upper for c in res.cis.intervals]) \
+            == bounds
+        assert res.achieved_coverage == achieved
+        assert res.beta_final == beta
+        assert res.converged == converged
+        assert res.iterations == iterations
+
+    @pytest.mark.parametrize("ranks, alpha, precision, maxiter", FALLBACK_CASES)
+    def test_fallback_cases_fall_back(self, ranks, alpha, precision, maxiter):
+        ranks = np.array(ranks, dtype=np.int32)
+        cfg = BootstrapConfig(n_boot=len(ranks), precision=precision, maxiter=maxiter)
+        assert reference_bisection(ranks, alpha, cfg)[-1]
+
+    def test_equals_the_reference_on_drawn_replicates(self):
+        for seed, n in enumerate((1, 2, 10)):
+            s = CenterSample.from_observations(np.asarray(NEAR_TIED[:n]) * 50, [1.0] * n)
+            cfg = BootstrapConfig(n_boot=2000, seed=seed)
+            res = zhang_simultaneous(s, 0.05, cfg)
+            bounds, achieved, beta, _, iterations, _ = reference_bisection(
+                _bootstrap_ranks(s, cfg), 0.05, cfg)
+            assert [(c.lower, c.upper) for c in res.cis.intervals] == list(zip(*bounds))
+            assert (res.achieved_coverage, res.beta_final, res.iterations) \
+                == (achieved, beta, iterations)
+
+    def test_peak_memory_is_the_rank_matrix_and_what_the_guard_counts(self, monkeypatch):
+        n, k = 20, 200_000
+        s = CenterSample.from_observations(np.arange(n) * 0.3, np.ones(n))
+        guarded = []
+        check = bootstrap._check_fits_memory
+
+        def recorded(need, *args):
+            guarded.append(need)
+            check(need, *args)
+
+        monkeypatch.setattr(bootstrap, "_check_fits_memory", recorded)
+        tracemalloc.start()
+        try:
+            zhang_simultaneous(s, 0.05, BootstrapConfig(n_boot=k, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * k * n * 4
+        # the memory guard counts at least the peak it guards
+        assert len(guarded) == 1 and peak <= guarded[0]
 
 
 class TestChunkedRanks:

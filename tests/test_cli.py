@@ -7,12 +7,12 @@ import threading
 import pytest
 
 from rankci import bootstrap
-from rankci.bootstrap import zhang_simultaneous
+from rankci.bootstrap import BootstrapConfig, zhang_simultaneous
 from rankci.cli import IngestError, _run_methods, ingest_estimates, main
-from rankci.core import CenterSample
+from rankci.core import KNOWN_METHODS, CenterSample
 from rankci.mcquantile import make_mc_pool, studentized_range_quantile
 from rankci.seqtukey import sequential_tukey
-from rankci.simharness import _child_seed
+from rankci.simharness import _TAG_BOOT, _child_seed
 
 
 @pytest.fixture
@@ -333,6 +333,30 @@ class TestBootstrapBesidePool:
         with pytest.raises(ValueError, match="--boot-samples"):
             _run_methods(sample, ("zhang",), 0.05, 1000, 10**13, seed=0)
         assert threading.active_count() == threads_before
+
+    def test_rank_all_ranks_the_bootstrap_once(self, estimates_file, monkeypatch):
+        ranked, bisected = [], []
+        rank = bootstrap._bootstrap_ranks
+
+        def counted(*args):
+            ranked.append(args)
+            return rank(*args)
+
+        def recorded(*args):
+            bisected.append((args, zhang_simultaneous(*args)))
+            return bisected[-1][1]
+
+        monkeypatch.setattr(bootstrap, "_bootstrap_ranks", counted)
+        monkeypatch.setattr("rankci.cli.zhang_simultaneous", recorded)
+        sample = ingest_estimates(estimates_file)
+        _run_methods(sample, KNOWN_METHODS, 0.05, 2000, 700, seed=4)
+        assert len(ranked) == 1
+        monkeypatch.undo()
+        cfg = BootstrapConfig(n_boot=700, seed=_child_seed(4, _TAG_BOOT))
+        assert [args[1:3] for args, _ in bisected] == [(0.05, cfg), (0.5, cfg)]
+        # each level equals a zhang_simultaneous call that ranks its own draw
+        for args, result in bisected:
+            assert result == zhang_simultaneous(sample, args[1], cfg)
 
     def test_alpha_out_of_range_raises_on_both_threads(self, estimates_file, capsys):
         line = self._one_error_line(["rank", "--input", estimates_file, "--method", "all",

@@ -82,6 +82,13 @@ class TestMakeMcPool:
         assert np.shares_memory(pool.draws, pool._cols)
         assert not pool.draws.flags.writeable and not pool._cols.flags.writeable
 
+    def test_caller_sigma_stays_writeable(self):
+        s = np.array([1.0, 2.0])
+        pool = make_mc_pool(s, 1000)
+        assert s.flags.writeable and not pool.sigma.flags.writeable
+        s[0] = 5.0
+        assert pool.sigma[0] == 1.0
+
     def test_pools_compare_by_identity(self):
         pool = make_mc_pool([1.0, 2.0], 1000, seed=1)
         twin = make_mc_pool([1.0, 2.0], 1000, seed=1)
@@ -339,6 +346,25 @@ class TestRowSpans:
         with pytest.raises(RuntimeError, match="span at row"):
             mcquantile._over_row_spans(2_000, kernel)
 
+    @staticmethod
+    def _spans(n_rows):
+        seen = []
+        mcquantile._over_row_spans(n_rows, lambda start, stop: seen.append((start, stop)))
+        return sorted(seen)
+
+    def test_a_live_helper_thread_takes_a_core(self, monkeypatch):
+        monkeypatch.setattr(mcquantile, "_usable_cores", lambda: 2)
+        n_rows = 2 * mcquantile._MIN_SPAN_ROWS
+        release = threading.Event()
+        with mcquantile._in_background(release.wait):
+            try:
+                assert mcquantile._live_helpers == 1
+                assert self._spans(n_rows) == [(0, n_rows)]
+            finally:
+                release.set()
+        assert mcquantile._live_helpers == 0
+        assert self._spans(n_rows) == [(0, n_rows // 2), (n_rows // 2, n_rows)]
+
 
 class TestInBackground:
     def test_join_returns_the_result(self):
@@ -352,6 +378,16 @@ class TestInBackground:
         with pytest.raises(RuntimeError, match="in the thread"):
             with mcquantile._in_background(broken) as join:
                 join()
+
+    def test_helper_count_drops_when_fn_raises(self):
+        def broken():
+            raise RuntimeError("in the thread")
+
+        with mcquantile._in_background(broken) as join:
+            with pytest.raises(RuntimeError, match="in the thread"):
+                join()
+            assert mcquantile._live_helpers == 0
+        assert mcquantile._live_helpers == 0
 
     def test_body_exception_wins_and_thread_is_joined(self):
         def slow_broken():
