@@ -184,7 +184,8 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-#: Threads started by :func:`_in_background` whose ``fn`` has not yet returned.
+#: Threads started by :func:`_in_background` whose ``fn`` has not yet returned,
+#: counted process-wide, as the cores they occupy are.
 _live_helpers = 0
 _live_helpers_lock = threading.Lock()
 

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import os
 import sys
@@ -356,7 +357,7 @@ class TestRowSpans:
         monkeypatch.setattr(mcquantile, "_usable_cores", lambda: 2)
         n_rows = 2 * mcquantile._MIN_SPAN_ROWS
         release = threading.Event()
-        with mcquantile._in_background(release.wait):
+        with mcquantile._in_background(lambda: release.wait(10)):
             try:
                 assert mcquantile._live_helpers == 1
                 assert self._spans(n_rows) == [(0, n_rows)]
@@ -388,6 +389,25 @@ class TestInBackground:
                 join()
             assert mcquantile._live_helpers == 0
         assert mcquantile._live_helpers == 0
+
+    def test_helper_count_loses_no_update_under_contention(self):
+        # more helpers than cores, switching threads as often as possible
+        helpers, interval = 16, sys.getswitchinterval()
+        release = threading.Event()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                release.clear()
+                with contextlib.ExitStack() as stack:
+                    joins = [stack.enter_context(mcquantile._in_background(
+                        lambda: release.wait(10))) for _ in range(helpers)]
+                    assert mcquantile._live_helpers == helpers
+                    release.set()
+                    assert all(join() for join in joins)
+                    assert mcquantile._live_helpers == 0
+        finally:
+            release.set()
+            sys.setswitchinterval(interval)
 
     def test_body_exception_wins_and_thread_is_joined(self):
         def slow_broken():
