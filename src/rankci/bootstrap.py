@@ -8,11 +8,13 @@ joint coverage still clears 1 - alpha.  Deliberately, the same K draws are
 used both to build the intervals and to estimate their joint coverage; the
 method is reproduced faithfully, not repaired.
 
-The joint method never reads the Monte-Carlo pool, so the command line and
-the simulation harness run it in a thread of its own beside the pool fill
-and the Tukey kernels.  It draws, scales, ranks and counts the K replicates
-a chunk of rows at a time into one count table (:class:`RankCounts`), so each
-bisection step is one O(K) count; ``rank`` bisects both its levels on it.
+The joint method never reads the Monte-Carlo pool, so it runs beside the
+pool work: ``rank`` runs it in a thread of its own beside the pool fill and
+the Tukey kernels, and ``simulate`` runs every replicate's bootstrap, in
+replicate order, in one helper thread per call, ahead of the pool work.  It
+draws, scales, ranks and counts the K replicates a chunk of rows at a time
+into one count table (:class:`RankCounts`), so each bisection step is one
+O(K) count; ``rank`` bisects both its levels on it.
 """
 
 import math

@@ -7,7 +7,8 @@ pair set: more pairs can only raise each row's maximum.
 
 The two row-maxima vectors that do not depend on the data, over all pairs and
 over the negative pairs, are computed once per pool and cached on it, so every
-alpha and every method reads its critical value from the same vectors.  The
+alpha and every method reads its critical value from the same vectors; the
+full-range quantile at each alpha is selected once per pool and kept too.  The
 pool also keeps the last restricted row maxima the sequential procedure
 stored, with their pair mask, so its next round can start from them.  They
 depend on the pool and the mask alone; dropping them only bounds memory.
@@ -68,13 +69,16 @@ class McPool:
     :func:`negative_row_maxima`, and holding the last vector given to
     :func:`cache_restricted_row_maxima` with its mask.  Cached vectors and
     masks are read-only, so no caller can change the quantiles later drawn
-    from the same pool.
+    from the same pool.  ``_full_quantiles`` keeps each alpha's
+    :func:`studentized_range_quantile`, selected once from the full-range
+    vector.
     """
 
     _cols: np.ndarray = field(repr=False)
     sigma: np.ndarray
     seed: int
     _row_maxima: dict = field(default_factory=dict, init=False, repr=False)
+    _full_quantiles: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self._cols.ndim != 2 or len(self._cols) != self.sigma.size:
@@ -405,10 +409,12 @@ def studentized_range_quantile(pool: McPool, alpha: float) -> float:
     The statistic per pool row is
     ``max over i != j of |Y_i - Y_j| / sqrt(sigma_i^2 + sigma_j^2)``,
     equal to the restricted maximum over the full ordered-pair set.  It is
-    read from the pool's cached :func:`full_row_maxima`, so further calls on
-    the same pool, at any alpha, only select an order statistic.
+    read from the pool's cached :func:`full_row_maxima`, and each alpha's
+    order statistic is selected once per pool and kept with it.
     """
-    return empirical_quantile(full_row_maxima(pool), alpha)
+    if alpha not in pool._full_quantiles:
+        pool._full_quantiles[alpha] = empirical_quantile(full_row_maxima(pool), alpha)
+    return pool._full_quantiles[alpha]
 
 
 def restricted_max_quantile(pool: McPool, pairs: np.ndarray, alpha: float) -> float:

@@ -11,6 +11,14 @@ from the same seed, when a replicate's sorted sigmas differ from the live
 pool's.  A replicate's pool depends on the scenario and its sorted sigmas
 only, so reports do not depend on execution order.
 
+The bootstrap never reads the pool.  A run with zhang starts one helper
+thread that draws each replicate's sample again and bootstraps it, in
+replicate order, while the calling thread runs the pool methods replicate
+after replicate and takes each replicate's bootstrap intervals as it scores
+it.  The helper runs at most eight replicates ahead, stops at its next
+replicate boundary once the calling side raises, and has an error of its own
+re-raised once, in the calling thread.
+
 Coverage is thus estimated conditionally on one pool.  The exceedance
 probability of the pool's empirical quantile has standard deviation about
 sqrt(alpha (1 - alpha) / N), about 0.0007 at alpha = 0.05 and N = 1e5, far
@@ -26,6 +34,7 @@ and listed in ascending order.
 
 import contextlib
 import dataclasses
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -254,7 +263,76 @@ class _LivePool:
         return self._pool
 
 
-def _run_replicate(cfg: ScenarioConfig, r: int, live_pool=None):
+def _replicate_sample(cfg: ScenarioConfig, r: int) -> CenterSample:
+    """Replicate r's sample, drawn from the seed ``(cfg.seed, r, _TAG_DATA)``."""
+    mu, sigma = np.asarray(cfg.mu), np.asarray(cfg.sigma)
+    data_rng = np.random.default_rng(_child_seed(cfg.seed, r, _TAG_DATA))
+    return CenterSample.from_observations(mu + sigma * data_rng.standard_normal(cfg.n), sigma)
+
+
+def _bootstrap_cis(cfg: ScenarioConfig, r: int):
+    """Replicate r's zhang CIs: its sample, bootstrapped from ``(cfg.seed, r, _TAG_BOOT)``."""
+    bcfg = dataclasses.replace(cfg.boot, seed=_child_seed(cfg.seed, r, _TAG_BOOT))
+    return zhang_simultaneous(_replicate_sample(cfg, r), cfg.alpha, bcfg).cis
+
+
+#: Replicates the bootstrap thread of a run may run ahead of those taken.
+#: Replicate 0 also draws the pool: at N = 1e5, n = 10 that takes about as
+#: long as five or six bootstraps, which the thread runs meanwhile.
+_BOOTSTRAP_LEAD = 8
+
+
+@contextlib.contextmanager
+def _bootstraps_ahead(cfg: ScenarioConfig):
+    """Run every replicate's bootstrap, in replicate order, in one helper thread.
+
+    Yields ``take(r)``, which waits for replicate r's zhang CIs and returns
+    them, or re-raises what the helper raised.  Replicates are taken in
+    order, and the helper runs at most ``_BOOTSTRAP_LEAD`` replicates ahead
+    of those taken.  On leaving the block the helper stops at its next
+    replicate boundary and is joined, so an error on the main side waits for
+    at most the bootstrap in progress.
+    """
+    ready = threading.Condition()
+    made = {}
+    state = {"taken": 0, "stop": False, "ended": False}
+
+    def produce():
+        try:
+            for r in range(cfg.reps):
+                with ready:
+                    ready.wait_for(lambda: state["stop"] or r < state["taken"] + _BOOTSTRAP_LEAD)
+                    if state["stop"]:
+                        return
+                cis = _bootstrap_cis(cfg, r)
+                with ready:
+                    made[r] = cis
+                    ready.notify_all()
+        finally:
+            with ready:
+                state["ended"] = True
+                ready.notify_all()
+
+    def take(r):
+        with ready:
+            ready.wait_for(lambda: r in made or state["ended"])
+            if r in made:
+                state["taken"] = r + 1
+                ready.notify_all()
+                return made.pop(r)
+        join()  # the helper ended before replicate r only by raising
+        raise LookupError(f"no bootstrap for replicate {r}")
+
+    with _in_background(produce) as join:
+        try:
+            yield take
+        finally:
+            with ready:
+                state["stop"] = True
+                ready.notify_all()
+
+
+def _run_replicate(cfg: ScenarioConfig, r: int, live_pool=None, zhang_cis=None):
     """Draw replicate r's sample, run the requested methods and score each.
 
     Returns ``({method: _Outcome}, nested)``, where ``nested`` is False only
@@ -266,37 +344,34 @@ def _run_replicate(cfg: ScenarioConfig, r: int, live_pool=None):
     the pool and their mask alone; they are dropped only to bound memory.
     Coverage is scored against the true set-ranks of ``cfg.mu``, computed
     here, O(n^2) and small beside the methods.  The bootstrap never reads
-    the pool, so it runs in a thread beside the pool work.
+    the pool: its CIs come from ``zhang_cis(r)`` when given (``run_coverage``
+    passes the ``take`` of :func:`_bootstraps_ahead`, whose helper thread
+    computes them ahead), and are otherwise computed here, after the pool
+    work, in the calling thread.
     """
-    mu, sigma = np.asarray(cfg.mu), np.asarray(cfg.sigma)
+    mu = np.asarray(cfg.mu)
     set_ranks = true_set_ranks(mu)
     if live_pool is None:
         live_pool = _LivePool(cfg)
-    data_rng = np.random.default_rng(_child_seed(cfg.seed, r, _TAG_DATA))
-    sample = CenterSample.from_observations(mu + sigma * data_rng.standard_normal(cfg.n), sigma)
+    sample = _replicate_sample(cfg, r)
 
-    bootstrap = contextlib.nullcontext()
-    if "zhang" in cfg.methods:
-        bcfg = dataclasses.replace(cfg.boot, seed=_child_seed(cfg.seed, r, _TAG_BOOT))
-        bootstrap = _in_background(lambda: zhang_simultaneous(sample, cfg.alpha, bcfg))
     results, rejections = {}, {}
-    with bootstrap as join_bootstrap:
-        if "tukey" in cfg.methods or "seqtukey" in cfg.methods:
-            pool = live_pool.for_sigma(sample.sigma)
+    if "tukey" in cfg.methods or "seqtukey" in cfg.methods:
+        pool = live_pool.for_sigma(sample.sigma)
+    if "seqtukey" in cfg.methods:
+        results["seqtukey"], trace = sequential_tukey(sample, cfg.alpha, pool)
+        rejections["seqtukey"] = trace.final_rejected
+        drop_restricted_row_maxima(pool)
+    if "tukey" in cfg.methods:
+        results["tukey"] = tukey_rank_cis(sample, cfg.alpha, pool)
         if "seqtukey" in cfg.methods:
-            results["seqtukey"], trace = sequential_tukey(sample, cfg.alpha, pool)
-            rejections["seqtukey"] = trace.final_rejected
-            drop_restricted_row_maxima(pool)
-        if "tukey" in cfg.methods:
-            results["tukey"] = tukey_rank_cis(sample, cfg.alpha, pool)
-            if "seqtukey" in cfg.methods:
-                # round one of the sequential procedure makes exactly the
-                # single-step rejections on a shared pool
-                rejections["tukey"] = trace.steps[0].newly_rejected if trace.steps else None
-            else:
-                rejections["tukey"] = tukey_rejected_pairs(sample, cfg.alpha, pool)
-        if "zhang" in cfg.methods:
-            results["zhang"] = join_bootstrap().cis
+            # round one of the sequential procedure makes exactly the
+            # single-step rejections on a shared pool
+            rejections["tukey"] = trace.steps[0].newly_rejected if trace.steps else None
+        else:
+            rejections["tukey"] = tukey_rejected_pairs(sample, cfg.alpha, pool)
+    if "zhang" in cfg.methods:
+        results["zhang"] = zhang_cis(r) if zhang_cis is not None else _bootstrap_cis(cfg, r)
 
     # a rejected pair (i, j) claims mu_i > mu_j; it is a false rejection
     # when the one-sided hypothesis mu_i <= mu_j was true
@@ -328,9 +403,13 @@ def run_coverage(cfg: ScenarioConfig) -> CoverageReport:
     by construction).  Replicates run one at a time, in order, and share one
     live pool (see ``_LivePool``), so with equal sigmas the pool is drawn
     and its full-range and negative-pair row maxima computed once per call.
+    With zhang, one helper thread runs every replicate's bootstrap, in
+    order, ahead of the pool work (see :func:`_bootstraps_ahead`).
     """
     live_pool = _LivePool(cfg)
-    runs = [_run_replicate(cfg, r, live_pool) for r in range(cfg.reps)]
+    bootstraps = _bootstraps_ahead(cfg) if "zhang" in cfg.methods else contextlib.nullcontext()
+    with bootstraps as zhang_cis:
+        runs = [_run_replicate(cfg, r, live_pool, zhang_cis) for r in range(cfg.reps)]
     methods = {}
     for m in cfg.methods:
         columns = zip(*(outcomes[m] for outcomes, _ in runs))

@@ -158,6 +158,28 @@ class TestStudentizedRangeQuantile:
         full = restricted_max_quantile(pool, all_pairs(4), 0.1)
         assert studentized_range_quantile(pool, 0.1) == full
 
+    @pytest.mark.parametrize("sigma", [[1.0] * 4, [0.5, 1.0, 1.5, 2.0]], ids=["equal", "unequal"])
+    def test_selected_once_per_pool_and_alpha(self, monkeypatch, sigma):
+        selected, select = [], mcquantile.empirical_quantile
+
+        def counted(values, alpha):
+            selected.append(alpha)
+            return select(values, alpha)
+
+        monkeypatch.setattr("rankci.mcquantile.empirical_quantile", counted)
+        pool = make_mc_pool(sigma, 2_000, seed=3)
+        first = [studentized_range_quantile(pool, alpha) for alpha in (0.05, 0.1, 0.05, 0.1)]
+        assert selected == [0.05, 0.1]
+        assert first[:2] == first[2:] == [
+            select(full_row_maxima(pool), alpha) for alpha in (0.05, 0.1)]
+        # another pool, even one drawn alike, selects its own
+        assert studentized_range_quantile(make_mc_pool(sigma, 2_000, seed=3), 0.05) == first[0]
+        assert selected == [0.05, 0.1, 0.05]
+        # a refused level is refused on every call; nothing is kept for it
+        for _ in range(2):
+            with pytest.raises(ValueError, match="alpha=0.0001"):
+                studentized_range_quantile(pool, 1e-4)
+
 
 class TestRestrictedMaxQuantile:
     def test_full_set_equals_studentized_range(self):

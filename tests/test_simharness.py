@@ -1,13 +1,17 @@
+import sys
 import threading
+import time
 import weakref
 
 import numpy as np
 import pytest
 
-from rankci.bootstrap import BootstrapConfig
+from rankci import mcquantile
+from rankci.bootstrap import BootstrapConfig, zhang_simultaneous
 from rankci.core import CenterSample
 from rankci.mcquantile import make_mc_pool
 from rankci.simharness import (
+    _BOOTSTRAP_LEAD,
     _TAG_DATA,
     _TAG_POOL,
     PRESET_CENTERS,
@@ -182,6 +186,152 @@ class TestRunCoverage:
         for m in cfg.methods:
             assert report.methods[m].mean_width.tolist() == [
                 outcomes[m].mean_width for outcomes, _ in forward]
+
+
+class TestBootstrapThread:
+    """run_coverage runs every bootstrap in one helper thread; a lone replicate runs its own."""
+
+    @pytest.fixture
+    def bootstraps(self, monkeypatch):
+        """The thread and live helper count of each zhang call, and hooks each call runs first.
+
+        A hook is called with the call's index, which is its replicate's.
+        """
+        calls, hooks = [], []
+
+        def recorded(*args, **kwargs):
+            calls.append((threading.current_thread(), mcquantile._live_helpers))
+            for hook in hooks:
+                hook(len(calls) - 1)
+            return zhang_simultaneous(*args, **kwargs)
+
+        monkeypatch.setattr("rankci.simharness.zhang_simultaneous", recorded)
+        return calls, hooks
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Every thread started while the test runs."""
+        started, start = [], threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        return started
+
+    @staticmethod
+    def replicates(monkeypatch):
+        """Indices of the replicates run_coverage enters, in order."""
+        entered = []
+
+        def recorded(cfg, r, *args):
+            entered.append(r)
+            return _run_replicate(cfg, r, *args)
+
+        monkeypatch.setattr("rankci.simharness._run_replicate", recorded)
+        return entered
+
+    def test_one_helper_thread_per_run(self, bootstraps, started):
+        calls, _ = bootstraps
+        # a pool of 2,000 rows runs its kernels in one span, on no thread of its own
+        cfg = quick_scenario([0.0, 0.4, 0.9, 3.0], reps=6)
+        run_coverage(cfg)
+        assert len(started) == 1
+        assert [thread for thread, _ in calls] == started * cfg.reps
+        assert [live for _, live in calls] == [1] * cfg.reps
+        run_coverage(cfg)
+        assert len(started) == 2 and started[1] is not started[0]
+
+    def test_no_thread_without_zhang(self, started):
+        run_coverage(quick_scenario([0.0, 0.4, 0.9], reps=4, methods=("tukey", "seqtukey")))
+        assert started == []
+
+    def test_lone_replicate_bootstraps_inline(self, bootstraps, started):
+        calls, _ = bootstraps
+        cfg = quick_scenario([0.0, 0.4, 0.9], reps=4)
+        _run_replicate(cfg, 2)
+        assert started == []
+        assert calls == [(threading.current_thread(), 0)]
+
+    def test_main_side_error_stops_the_helper(self, monkeypatch, bootstraps):
+        calls, hooks = bootstraps
+        raising = threading.Event()
+        # the first bootstrap is still running when the main side raises
+        hooks.append(lambda r: raising.wait(5) if r == 0 else None)
+
+        def broken(*args, **kwargs):
+            raising.set()
+            raise RuntimeError("seqtukey broke")
+
+        monkeypatch.setattr("rankci.simharness.sequential_tukey", broken)
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError, match="seqtukey broke"):
+            run_coverage(quick_scenario([0.0, 1.0, 2.0], reps=50))
+        assert len(calls) <= 2
+        assert threading.active_count() == threads_before
+
+    def test_helper_runs_a_bounded_lead_ahead(self, monkeypatch, bootstraps):
+        calls, _ = bootstraps
+
+        def slow(*args, **kwargs):
+            # the main side stalls in replicate 0 long after the lead is run
+            deadline = time.monotonic() + 5
+            while len(calls) < _BOOTSTRAP_LEAD and time.monotonic() < deadline:
+                time.sleep(0.005)
+            time.sleep(0.05)
+            raise RuntimeError("seqtukey stalled")
+
+        monkeypatch.setattr("rankci.simharness.sequential_tukey", slow)
+        with pytest.raises(RuntimeError, match="seqtukey stalled"):
+            run_coverage(quick_scenario([0.0, 1.0, 2.0], reps=50))
+        assert len(calls) == _BOOTSTRAP_LEAD < 50
+
+    def test_later_bootstrap_error_reraises_once(self, monkeypatch, bootstraps):
+        calls, hooks = bootstraps
+
+        def broken(r):
+            if r == 3:
+                raise RuntimeError("bootstrap broke at replicate 3")
+
+        hooks.append(broken)
+        entered = self.replicates(monkeypatch)
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError, match="replicate 3") as raised:
+            run_coverage(quick_scenario([0.0, 1.0, 2.0], reps=6))
+        # replicates 0-2 are scored, replicate 3 raises, and the helper
+        # stops at the error
+        assert entered == [0, 1, 2, 3]
+        assert len(calls) == 4
+        assert raised.value.__context__ is None
+        assert threading.active_count() == threads_before
+        assert mcquantile._live_helpers == 0
+
+    def test_concurrent_runs_match_serial_under_contention(self):
+        # more runs than cores, each with its own bootstrap thread, and a
+        # short switch interval: a lost or misordered hand-over would change
+        # a report or leave a thread waiting
+        cfgs = [quick_scenario([0.0, 0.3, 0.8, 2.0], reps=8, seed=seed, n_boot=200)
+                for seed in range(4)]
+        serial = [run_coverage(cfg).methods["zhang"].mean_width.tolist() for cfg in cfgs]
+        concurrent = [None] * len(cfgs)
+
+        def run(k):
+            concurrent[k] = run_coverage(cfgs[k]).methods["zhang"].mean_width.tolist()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(cfgs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert concurrent == serial
+        assert mcquantile._live_helpers == 0
 
 
 class TestPoolReuse:
