@@ -10,11 +10,12 @@ method is reproduced faithfully, not repaired.
 
 The joint method never reads the Monte-Carlo pool, so it runs beside the
 pool work: ``rank`` runs it in a thread of its own beside the pool fill and
-the Tukey kernels, and ``simulate`` runs every replicate's bootstrap, in
-replicate order, in one helper thread per call, ahead of the pool work.  It
-draws, scales, ranks and counts the K replicates a chunk of rows at a time
-into one count table (:class:`RankCounts`), so each bisection step is one
-O(K) count; ``rank`` bisects both its levels on it.
+the Tukey kernels, and ``simulate`` shares its replicates' bootstraps
+between one helper thread per call and the calling thread.  It draws and
+scales the K replicates a chunk of rows at a time, and turns each chunk's
+stable sort order straight into cells of one count table
+(:class:`RankCounts`), so no rank matrix is built and each bisection step
+is one O(K) count; ``rank`` bisects both its levels on it.
 """
 
 import math
@@ -29,7 +30,7 @@ from .mcquantile import _check_fits_memory
 __all__ = ["BootstrapConfig", "RankCounts", "ZhangResult", "make_bootstrap_draws",
            "spiegelhalter_pointwise", "zhang_simultaneous"]
 
-#: Bootstrap replicates drawn, scaled and ranked at a time.
+#: Bootstrap replicates drawn, scaled, sorted and counted at a time.
 _RANK_CHUNK_ROWS = 4096
 
 
@@ -86,36 +87,56 @@ def make_bootstrap_draws(sample: CenterSample, cfg: BootstrapConfig) -> np.ndarr
     return rng.standard_normal((cfg.n_boot, sample.n)) * sample.sigma[None, :] + sample.y[None, :]
 
 
-def _rank_rows(draws: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1-based ``int32`` rank of every entry within its row (ties by position), into ``out``."""
-    out = np.empty(draws.shape, dtype=np.int32) if out is None else out
-    positions = np.arange(1, draws.shape[1] + 1, dtype=out.dtype)
-    np.put_along_axis(out, np.argsort(draws, axis=1, kind="stable"), positions[None, :], axis=1)
-    return out
+def _check_bootstraps_fit(n: int, n_boot: int, copies: int = 1) -> None:
+    """Refuse ``copies`` bootstraps of ``n_boot`` x ``n`` that physical memory cannot hold at once.
+
+    One bootstrap holds the ``int32`` cell matrix, the two K-vectors of its
+    :class:`RankCounts` and one chunk's temporaries.
+    """
+    need = n_boot * (n + 2) * 4 + min(_RANK_CHUNK_ROWS, n_boot) * n * 32
+    what = f"{n_boot} x {n} replicates"
+    what = f"a bootstrap of {what}" if copies == 1 else f"running {copies} bootstraps of {what} at once"
+    _check_fits_memory(copies * need, what, "--boot-samples")
 
 
-def _bootstrap_ranks(sample: CenterSample, cfg: BootstrapConfig) -> np.ndarray:
-    """``_rank_rows(make_bootstrap_draws(sample, cfg))``, built a chunk of rows at a time.
+def _draw_chunks(sample: CenterSample, cfg: BootstrapConfig):
+    """Yield the rows of ``make_bootstrap_draws(sample, cfg)`` a chunk at a time, in one buffer.
 
     standard_normal fills its output in C order from one stream, so each
     chunk holds the next rows of the K x n draw.  A chunk is scaled in place
-    by the same two operations, so every value, and every rank, is the same
-    bit for bit, while the K x n float matrix is never allocated.
+    by the same two operations, so every value is the same bit for bit,
+    while the K x n float matrix is never allocated.  Each chunk is
+    overwritten by the next.
     """
-    n, chunk_rows = sample.n, min(_RANK_CHUNK_ROWS, cfg.n_boot)
-    # the rank matrix, the two K-vectors of its RankCounts, one chunk's temporaries
-    _check_fits_memory(cfg.n_boot * (n + 2) * 4 + chunk_rows * n * 32,
-                       f"a bootstrap rank matrix of {cfg.n_boot} x {n}", "--boot-samples")
     rng = np.random.default_rng(cfg.seed)
-    ranks = np.empty((cfg.n_boot, n), dtype=np.int32)
-    chunk = np.empty((chunk_rows, n))
+    chunk = np.empty((min(_RANK_CHUNK_ROWS, cfg.n_boot), sample.n))
     for start in range(0, cfg.n_boot, _RANK_CHUNK_ROWS):
-        stop = min(start + _RANK_CHUNK_ROWS, cfg.n_boot)
-        rows = rng.standard_normal(out=chunk[: stop - start])
+        rows = rng.standard_normal(out=chunk[: min(_RANK_CHUNK_ROWS, cfg.n_boot - start)])
         rows *= sample.sigma
         rows += sample.y
-        _rank_rows(rows, ranks[start:stop])
-    return ranks
+        yield rows
+
+
+def _order_cells(chunks, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The table cell of every entry of K x n draws given as row chunks, and the count of each cell.
+
+    A row's stable argsort order lists its centers by rank, ties by
+    position, so the center at position p has rank p + 1 and its cell of
+    the flattened n x (n+1) table is ``order[k, p] * (n + 1) + p + 1``.
+    Cells are stored by position, as ``int32``, and each chunk's cells are
+    counted as they are made; no chunk outlives the call.
+    """
+    cells = np.empty((k, n), dtype=np.int32)
+    counts = np.zeros(n * (n + 1), dtype=np.intp)
+    positions = np.arange(1, n + 1, dtype=np.int32)
+    start = 0
+    for rows in chunks:
+        out = cells[start:start + len(rows)]
+        np.multiply(np.argsort(rows, axis=1, kind="stable"), n + 1, out=out, casting="same_kind")
+        out += positions
+        counts += np.bincount(out.ravel(), minlength=counts.size)
+        start += len(rows)
+    return cells, counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,25 +155,41 @@ class RankCounts:
 
     @classmethod
     def of(cls, ranks: np.ndarray) -> "RankCounts":
-        """Count K x n 1-based ranks a chunk of rows at a time: bincount and take copy to int64."""
-        k, n = ranks.shape
-        cell0 = np.arange(0, n * (n + 1), n + 1, dtype=np.int32)  # flat index of (i, 0)
-        chunks = [slice(s, s + _RANK_CHUNK_ROWS) for s in range(0, k, _RANK_CHUNK_ROWS)]
-        counts = sum(np.bincount((ranks[rows] + cell0).ravel(), minlength=n * (n + 1))
-                     for rows in chunks)
-        count_type = np.int32 if k < 2**31 else np.int64
-        at_most = np.cumsum(counts.reshape(n, n + 1), axis=1, dtype=count_type)
-        fewest, below = np.empty((2, k), dtype=count_type)
-        for rows in chunks:  # centers x rows: reducing over centers is elementwise over rows
-            cells = np.add(ranks[rows].T, cell0[:, None], order="C")
-            np.min(np.take(at_most, cells), axis=0, out=fewest[rows])
-            np.max(np.take(at_most, cells - 1), axis=0, out=below[rows])
-        return cls(at_most, fewest, below)
+        """The counts of K x n 1-based ranks; center i at rank v is cell ``i * (n + 1) + v``.
+
+        The definition the draw is tested against: :meth:`draw` counts the
+        same cells straight from each replicate's sort order.
+        """
+        n = ranks.shape[1]
+        cells = ranks + np.arange(0, n * (n + 1), n + 1, dtype=np.int32)
+        return cls._of_cells(cells, np.bincount(cells.ravel(), minlength=n * (n + 1)))
 
     @classmethod
     def draw(cls, sample: CenterSample, cfg: BootstrapConfig) -> "RankCounts":
         """The counts of the replicates :func:`zhang_simultaneous` draws for ``(sample, cfg)``."""
-        return cls.of(_bootstrap_ranks(sample, cfg))
+        _check_bootstraps_fit(sample.n, cfg.n_boot)
+        return cls._of_cells(*_order_cells(_draw_chunks(sample, cfg), cfg.n_boot, sample.n))
+
+    @classmethod
+    def _of_cells(cls, cells: np.ndarray, counts: np.ndarray) -> "RankCounts":
+        """Build the table from the K x n cells and their counts, then both K-vectors a chunk at a time.
+
+        The cell below cell c is c - 1, so ``most_below`` reads the flattened
+        table shifted one place on; a cell's rank is at least 1, so the
+        wrapped first entry is never read.
+        """
+        k, n = cells.shape
+        count_type = np.int32 if k < 2**31 else np.int64
+        at_most = np.cumsum(counts.reshape(n, n + 1), axis=1, dtype=count_type)
+        below = np.roll(at_most, 1)
+        fewest, most_below = np.empty((2, k), dtype=count_type)
+        for start in range(0, k, _RANK_CHUNK_ROWS):
+            rows = slice(start, start + _RANK_CHUNK_ROWS)
+            # centers x rows: reducing over centers is elementwise over rows
+            chunk = cells[rows].T
+            np.min(np.take(at_most, chunk), axis=0, out=fewest[rows])
+            np.max(np.take(below, chunk), axis=0, out=most_below[rows])
+        return cls(at_most, fewest, most_below)
 
     def _indices(self, beta: float) -> tuple[int, int]:
         return tuple(_type3_index(self.most_below.size, p) for p in (beta / 2.0, 1.0 - beta / 2.0))
@@ -185,7 +222,9 @@ def spiegelhalter_pointwise(sample: CenterSample, beta: float,
     if len(boot_draws) * (beta / 2.0) < 1.5:
         warnings.warn(f"n_boot={len(boot_draws)} is too small to resolve beta={beta:g}; "
                       "quantile indices collapse to the extremes", stacklevel=2)
-    return list(RankCounts.of(_rank_rows(boot_draws)).intervals(beta))
+    k = len(boot_draws)
+    chunks = (boot_draws[start:start + _RANK_CHUNK_ROWS] for start in range(0, k, _RANK_CHUNK_ROWS))
+    return list(RankCounts._of_cells(*_order_cells(chunks, k, sample.n)).intervals(beta))
 
 
 def zhang_simultaneous(sample: CenterSample, alpha: float, cfg: BootstrapConfig,

@@ -320,7 +320,7 @@ def _whole_number(spec: dict, key: str, default: int, path: str) -> int:
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    methods = tuple(args.methods.split(",")) if args.methods else KNOWN_METHODS
+    methods = KNOWN_METHODS if args.methods is None else tuple(args.methods.split(","))
     if args.scenario in PRESET_CENTERS:
         return preset_scenario(
             args.scenario, reps=args.reps, alpha=args.alpha, seed=args.seed,

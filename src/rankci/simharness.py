@@ -12,12 +12,14 @@ pool's.  A replicate's pool depends on the scenario and its sorted sigmas
 only, so reports do not depend on execution order.
 
 The bootstrap never reads the pool.  A run with zhang starts one helper
-thread that draws each replicate's sample again and bootstraps it, in
+thread that draws replicates' samples again and bootstraps them, in
 replicate order, while the calling thread runs the pool methods replicate
 after replicate and takes each replicate's bootstrap intervals as it scores
-it.  The helper runs at most eight replicates ahead, stops at its next
-replicate boundary once the calling side raises, and has an error of its own
-re-raised once, in the calling thread.
+it.  Where it would wait for a bootstrap in progress, the calling thread
+runs the next unclaimed bootstrap itself, so each replicate is bootstrapped
+once, by one of the two threads.  No bootstrap starts more than eight
+replicates past those taken, none starts once one has raised or the calling
+side has, and a bootstrap's error is re-raised once, in the calling thread.
 
 Coverage is thus estimated conditionally on one pool.  The exceedance
 probability of the pool's empirical quantile has standard deviation about
@@ -40,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, zhang_simultaneous
+from .bootstrap import BootstrapConfig, _check_bootstraps_fit, zhang_simultaneous
 from .core import KNOWN_METHODS, CenterSample, true_set_ranks, truth_partition
 from .mcquantile import (
     DEFAULT_MC_SAMPLES,
@@ -276,54 +278,74 @@ def _bootstrap_cis(cfg: ScenarioConfig, r: int):
     return zhang_simultaneous(_replicate_sample(cfg, r), cfg.alpha, bcfg).cis
 
 
-#: Replicates the bootstrap thread of a run may run ahead of those taken.
-#: Replicate 0 also draws the pool: at N = 1e5, n = 10 that takes about as
-#: long as five or six bootstraps, which the thread runs meanwhile.
+#: Replicates whose bootstraps may start ahead of those taken.  Replicate 0
+#: also draws the pool: at N = 1e5, n = 10 that takes about as long as five
+#: or six bootstraps, which the helper thread runs meanwhile.
 _BOOTSTRAP_LEAD = 8
 
 
 @contextlib.contextmanager
 def _bootstraps_ahead(cfg: ScenarioConfig):
-    """Run every replicate's bootstrap, in replicate order, in one helper thread.
+    """Share every replicate's bootstrap between one helper thread and the calling thread.
 
-    Yields ``take(r)``, which waits for replicate r's zhang CIs and returns
-    them, or re-raises what the helper raised.  Replicates are taken in
-    order, and the helper runs at most ``_BOOTSTRAP_LEAD`` replicates ahead
-    of those taken.  On leaving the block the helper stops at its next
-    replicate boundary and is joined, so an error on the main side waits for
-    at most the bootstrap in progress.
+    Yields ``take(r)``, which returns replicate r's zhang CIs; replicates are
+    taken in order.  Both threads claim bootstraps in replicate order, from
+    one counter, each no more than ``_BOOTSTRAP_LEAD`` replicates past those
+    taken, so each replicate is bootstrapped exactly once: the helper runs
+    ahead of the pool work, and ``take(r)``, rather than wait for a
+    bootstrap in progress, runs the next unclaimed one itself.  Two
+    bootstraps can thus be in memory at once, and both are checked to fit
+    before the helper starts.  Once a bootstrap raises, neither thread
+    starts another; the error of the first failing replicate is re-raised
+    by its ``take``, once.  On leaving the block the helper finishes the
+    bootstrap in progress and is joined.
     """
+    _check_bootstraps_fit(cfg.n, cfg.boot.n_boot, copies=min(cfg.reps, 2))
     ready = threading.Condition()
-    made = {}
-    state = {"taken": 0, "stop": False, "ended": False}
+    made, failed = {}, {}
+    state = {"claimed": 0, "taken": 0, "stop": False}
+
+    def claimable():
+        r = state["claimed"]
+        return not (state["stop"] or failed) and r < min(cfg.reps, state["taken"] + _BOOTSTRAP_LEAD)
+
+    def run(r):
+        try:
+            outcome, into = _bootstrap_cis(cfg, r), made
+        except Exception as exc:  # re-raised by take(r)
+            outcome, into = exc, failed
+        with ready:
+            into[r] = outcome
+            ready.notify_all()
 
     def produce():
-        try:
-            for r in range(cfg.reps):
-                with ready:
-                    ready.wait_for(lambda: state["stop"] or r < state["taken"] + _BOOTSTRAP_LEAD)
-                    if state["stop"]:
-                        return
-                cis = _bootstrap_cis(cfg, r)
-                with ready:
-                    made[r] = cis
-                    ready.notify_all()
-        finally:
+        while True:
             with ready:
-                state["ended"] = True
-                ready.notify_all()
+                ready.wait_for(lambda: claimable() or state["stop"] or failed
+                               or state["claimed"] == cfg.reps)
+                if not claimable():
+                    return
+                r = state["claimed"]
+                state["claimed"] = r + 1
+            run(r)
 
     def take(r):
-        with ready:
-            ready.wait_for(lambda: r in made or state["ended"])
-            if r in made:
-                state["taken"] = r + 1
-                ready.notify_all()
-                return made.pop(r)
-        join()  # the helper ended before replicate r only by raising
-        raise LookupError(f"no bootstrap for replicate {r}")
+        while True:
+            with ready:
+                # wait only while r runs in the other thread and no bootstrap may start here
+                ready.wait_for(lambda: r in made or r in failed or claimable())
+                if r in made:
+                    state["taken"] = r + 1
+                    ready.notify_all()
+                    return made.pop(r)
+                if r in failed:
+                    break
+                s = state["claimed"]
+                state["claimed"] = s + 1
+            run(s)
+        raise failed[r]
 
-    with _in_background(produce) as join:
+    with _in_background(produce):
         try:
             yield take
         finally:
@@ -346,8 +368,8 @@ def _run_replicate(cfg: ScenarioConfig, r: int, live_pool=None, zhang_cis=None):
     here, O(n^2) and small beside the methods.  The bootstrap never reads
     the pool: its CIs come from ``zhang_cis(r)`` when given (``run_coverage``
     passes the ``take`` of :func:`_bootstraps_ahead`, whose helper thread
-    computes them ahead), and are otherwise computed here, after the pool
-    work, in the calling thread.
+    computes most of them ahead), and are otherwise computed here, after the
+    pool work, in the calling thread.
     """
     mu = np.asarray(cfg.mu)
     set_ranks = true_set_ranks(mu)
@@ -403,8 +425,9 @@ def run_coverage(cfg: ScenarioConfig) -> CoverageReport:
     by construction).  Replicates run one at a time, in order, and share one
     live pool (see ``_LivePool``), so with equal sigmas the pool is drawn
     and its full-range and negative-pair row maxima computed once per call.
-    With zhang, one helper thread runs every replicate's bootstrap, in
-    order, ahead of the pool work (see :func:`_bootstraps_ahead`).
+    With zhang, one helper thread runs the replicates' bootstraps, in
+    order, ahead of the pool work, and the calling thread runs the next
+    ones itself where it would wait (see :func:`_bootstraps_ahead`).
     """
     live_pool = _LivePool(cfg)
     bootstraps = _bootstraps_ahead(cfg) if "zhang" in cfg.methods else contextlib.nullcontext()

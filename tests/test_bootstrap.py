@@ -9,8 +9,6 @@ from rankci import bootstrap
 from rankci.bootstrap import (
     BootstrapConfig,
     RankCounts,
-    _bootstrap_ranks,
-    _rank_rows,
     _type3_index,
     make_bootstrap_draws,
     quantile_type3,
@@ -21,6 +19,20 @@ from rankci.core import CenterSample
 
 WELL_SEPARATED = (1.512, 1.764, 1.853, 3.020, 3.154, 4.895, 5.419, 7.468, 10.521, 13.054)
 NEAR_TIED = (0.017, 0.020, 0.023, 0.029, 0.036, 0.039, 0.048, 0.077, 0.086, 0.089)
+
+
+def rank_rows(draws):
+    """1-based rank of every entry within its row, ties by position: the inverse sort permutation."""
+    ranks = np.empty(draws.shape, dtype=np.int32)
+    positions = np.arange(1, draws.shape[1] + 1, dtype=np.int32)
+    np.put_along_axis(ranks, np.argsort(draws, axis=1, kind="stable"), positions[None, :], axis=1)
+    return ranks
+
+
+def assert_same_counts(got, expected):
+    for name in ("at_most", "fewest_at_most", "most_below"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 class TestQuantileType3:
@@ -174,7 +186,7 @@ class TestCountTableBisection:
             cfg = BootstrapConfig(n_boot=2000, seed=seed)
             res = zhang_simultaneous(s, 0.05, cfg)
             bounds, achieved, beta, _, iterations, _ = reference_bisection(
-                _bootstrap_ranks(s, cfg), 0.05, cfg)
+                rank_rows(make_bootstrap_draws(s, cfg)), 0.05, cfg)
             assert [(c.lower, c.upper) for c in res.cis.intervals] == list(zip(*bounds))
             assert (res.achieved_coverage, res.beta_final, res.iterations) \
                 == (achieved, beta, iterations)
@@ -202,6 +214,8 @@ class TestCountTableBisection:
 
 
 class TestChunkedRanks:
+    """The draw counts each chunk's cells from its sort order; the oracle ranks the whole draw."""
+
     @pytest.mark.parametrize("n, k", [(5, 23), (5, 21), (5, 4), (1, 10), (1, 23)],
                              ids=["partial-last-chunk", "whole-chunks", "below-one-chunk",
                                   "one-center", "one-center-partial-chunk"])
@@ -210,15 +224,56 @@ class TestChunkedRanks:
         rng = np.random.default_rng(n * 100 + k)
         s = CenterSample.from_observations(rng.normal(size=n), rng.uniform(0.5, 1.5, n))
         cfg = BootstrapConfig(n_boot=k, seed=k)
-        chunked = _bootstrap_ranks(s, cfg)
-        full = _rank_rows(make_bootstrap_draws(s, cfg))
-        assert chunked.dtype == full.dtype == np.int32
-        assert np.array_equal(chunked, full)
+        assert_same_counts(RankCounts.draw(s, cfg),
+                           RankCounts.of(rank_rows(make_bootstrap_draws(s, cfg))))
 
     def test_default_chunk_size_with_a_partial_last_chunk(self):
         s = CenterSample.from_observations(NEAR_TIED, [1.0] * 10)
         cfg = BootstrapConfig(n_boot=bootstrap._RANK_CHUNK_ROWS * 2 + 3, seed=1)
-        assert np.array_equal(_bootstrap_ranks(s, cfg), _rank_rows(make_bootstrap_draws(s, cfg)))
+        assert_same_counts(RankCounts.draw(s, cfg),
+                           RankCounts.of(rank_rows(make_bootstrap_draws(s, cfg))))
+
+    @pytest.mark.filterwarnings("ignore:n_boot=.* is too small")
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(n=st.integers(1, 12),
+           chunk_rows=st.sampled_from([1, 3, 4096]),
+           k=st.integers(1, 60).filter(lambda k: k % 3),
+           seed=st.integers(0, 2**32 - 1),
+           beta=st.floats(0.01, 0.99))
+    def test_counts_of_the_sort_order_are_the_counts_of_the_ranks(self, n, chunk_rows, k, seed,
+                                                                  beta):
+        rng = np.random.default_rng(seed)
+        s = CenterSample.from_observations(rng.normal(size=n), rng.uniform(0.5, 1.5, n))
+        cfg = BootstrapConfig(n_boot=k, seed=seed)
+        draws = make_bootstrap_draws(s, cfg)
+        expected = RankCounts.of(rank_rows(draws))
+        old_chunk, bootstrap._RANK_CHUNK_ROWS = bootstrap._RANK_CHUNK_ROWS, chunk_rows
+        try:
+            assert_same_counts(RankCounts.draw(s, cfg), expected)
+            # the pointwise method counts a given draw by the same route
+            assert spiegelhalter_pointwise(s, beta, draws) == list(expected.intervals(beta))
+        finally:
+            bootstrap._RANK_CHUNK_ROWS = old_chunk
+
+    @pytest.mark.filterwarnings("ignore:observed estimates contain exact ties")
+    @pytest.mark.parametrize("y", [[0.25], [0.25] * 7, [0.5, 0.25, 0.75] * 6],
+                             ids=["one-center", "all-equal", "three-values"])
+    def test_exact_ties_rank_by_position(self, y):
+        # y + 1e-300 z rounds back to y, so every replicate ties as y does
+        n = len(y)
+        s = CenterSample.from_observations(y, [1e-300] * n)
+        cfg = BootstrapConfig(n_boot=50, seed=2)
+        draws = make_bootstrap_draws(s, cfg)
+        assert (draws == s.y).all()
+        counts = RankCounts.draw(s, cfg)
+        assert_same_counts(counts, RankCounts.of(rank_rows(draws)))
+        # tied centers rank by their position in the sorted sample
+        assert [(c.lower, c.upper) for c in counts.intervals(0.05)] == [(i, i) for i in
+                                                                         range(1, n + 1)]
+        # the same route ranks unsorted tied replicates by position too
+        tied = np.tile(np.resize([0.5, 0.25, 0.75], n), (50, 1))
+        assert spiegelhalter_pointwise(s, 0.5, tied) \
+            == list(RankCounts.of(rank_rows(tied)).intervals(0.5))
 
     def test_chunk_size_leaves_the_joint_result_unchanged(self, monkeypatch):
         s = CenterSample.from_observations(NEAR_TIED, [1.0] * 10)

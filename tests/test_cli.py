@@ -334,23 +334,48 @@ class TestBootstrapBesidePool:
             _run_methods(sample, ("zhang",), 0.05, 1000, 10**13, seed=0)
         assert threading.active_count() == threads_before
 
+    @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="physical memory unknown")
+    def test_simulate_checks_that_two_bootstraps_fit(self, estimates_file, tmp_path, monkeypatch,
+                                                       capsys):
+        n_boot, needs = 100_000, []
+        check = bootstrap._check_fits_memory
+        monkeypatch.setattr(bootstrap, "_check_fits_memory",
+                            lambda need, *args: (needs.append(need), check(need, *args)))
+        bootstrap._check_bootstraps_fit(3, n_boot)
+        # physical memory that holds one bootstrap of 3 centers, but not two
+        sysconf, fake = os.sysconf, {"SC_PHYS_PAGES": needs[0] * 3 // 2, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or sysconf(name))
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"mu": [1, 2, 3], "n_boot": n_boot}))
+        line = self._one_error_line(["simulate", "--scenario", f"file:{scenario}", "--reps", "2",
+                                     "--mc-samples", "1000"], capsys)
+        assert "running 2 bootstraps of" in line and "--boot-samples" in line
+        assert started == []
+        monkeypatch.undo()
+        # rank holds one bootstrap at a time
+        monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or sysconf(name))
+        assert main(["rank", "--input", estimates_file, "--method", "zhang",
+                     "--boot-samples", str(n_boot)]) == 0
+
     def test_rank_all_ranks_the_bootstrap_once(self, estimates_file, monkeypatch):
-        ranked, bisected = [], []
-        rank = bootstrap._bootstrap_ranks
+        drawn, bisected = [], []
+        draw = bootstrap._draw_chunks
 
         def counted(*args):
-            ranked.append(args)
-            return rank(*args)
+            drawn.append(args)
+            return draw(*args)
 
         def recorded(*args):
             bisected.append((args, zhang_simultaneous(*args)))
             return bisected[-1][1]
 
-        monkeypatch.setattr(bootstrap, "_bootstrap_ranks", counted)
+        monkeypatch.setattr(bootstrap, "_draw_chunks", counted)
         monkeypatch.setattr("rankci.cli.zhang_simultaneous", recorded)
         sample = ingest_estimates(estimates_file)
         _run_methods(sample, KNOWN_METHODS, 0.05, 2000, 700, seed=4)
-        assert len(ranked) == 1
+        assert len(drawn) == 1
         monkeypatch.undo()
         cfg = BootstrapConfig(n_boot=700, seed=_child_seed(4, _TAG_BOOT))
         assert [args[1:3] for args, _ in bisected] == [(0.05, cfg), (0.5, cfg)]
@@ -421,6 +446,20 @@ class TestCmdSimulate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.endswith("'methods' must be a list of method names\n")
+
+    @pytest.mark.parametrize("scenario", ["paper1", "file"])
+    def test_empty_methods_exits_with_one_line(self, tmp_path, capsys, monkeypatch, scenario):
+        def no_run(cfg):
+            raise AssertionError(f"ran methods {cfg.methods}")
+
+        monkeypatch.setattr("rankci.cli.run_coverage", no_run)
+        if scenario == "file":
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps({"mu": [1, 2, 3]}))
+            scenario = f"file:{path}"
+        assert main(["simulate", "--scenario", scenario, "--methods", ""]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: methods must be a nonempty subset") and err.count("\n") == 1
 
     @pytest.mark.parametrize("name", [None, ["a", "b"], 7, {"a": 1}],
                              ids=["null", "list", "number", "object"])

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from rankci import mcquantile
+from rankci import mcquantile, simharness
 from rankci.bootstrap import BootstrapConfig, zhang_simultaneous
 from rankci.core import CenterSample
 from rankci.mcquantile import make_mc_pool
@@ -189,24 +189,31 @@ class TestRunCoverage:
 
 
 class TestBootstrapThread:
-    """run_coverage runs every bootstrap in one helper thread; a lone replicate runs its own."""
+    """run_coverage shares the bootstraps between one helper thread and the calling thread.
+
+    A lone replicate runs its own.
+    """
 
     @pytest.fixture
     def bootstraps(self, monkeypatch):
-        """The thread and live helper count of each zhang call, and hooks each call runs first.
+        """``(thread, live helpers, replicate)`` of each bootstrap, and hooks each runs first.
 
-        A hook is called with the call's index, which is its replicate's.
+        A hook is called with the bootstrap's replicate index.  The third
+        list holds the replicate index of each bootstrap that returned.
         """
-        calls, hooks = [], []
+        calls, hooks, done = [], [], []
+        bootstrap_cis = simharness._bootstrap_cis
 
-        def recorded(*args, **kwargs):
-            calls.append((threading.current_thread(), mcquantile._live_helpers))
+        def recorded(cfg, r):
+            calls.append((threading.current_thread(), mcquantile._live_helpers, r))
             for hook in hooks:
-                hook(len(calls) - 1)
-            return zhang_simultaneous(*args, **kwargs)
+                hook(r)
+            cis = bootstrap_cis(cfg, r)
+            done.append(r)
+            return cis
 
-        monkeypatch.setattr("rankci.simharness.zhang_simultaneous", recorded)
-        return calls, hooks
+        monkeypatch.setattr(simharness, "_bootstrap_cis", recorded)
+        return calls, hooks, done
 
     @pytest.fixture
     def started(self, monkeypatch):
@@ -233,29 +240,58 @@ class TestBootstrapThread:
         return entered
 
     def test_one_helper_thread_per_run(self, bootstraps, started):
-        calls, _ = bootstraps
+        calls, _, _ = bootstraps
         # a pool of 2,000 rows runs its kernels in one span, on no thread of its own
         cfg = quick_scenario([0.0, 0.4, 0.9, 3.0], reps=6)
         run_coverage(cfg)
         assert len(started) == 1
-        assert [thread for thread, _ in calls] == started * cfg.reps
-        assert [live for _, live in calls] == [1] * cfg.reps
+        # the helper or the calling thread runs each bootstrap, once, while the helper lives
+        assert {thread for thread, _, _ in calls} <= {started[0], threading.current_thread()}
+        assert sorted(r for _, _, r in calls) == list(range(cfg.reps))
+        assert [live for _, live, _ in calls] == [1] * cfg.reps
         run_coverage(cfg)
         assert len(started) == 2 and started[1] is not started[0]
+
+    def test_calling_thread_runs_bootstraps_instead_of_waiting(self, bootstraps):
+        calls, hooks, _ = bootstraps
+        cfg = quick_scenario([0.0, 0.4, 0.9, 3.0], reps=12)
+        lone = [_run_replicate(cfg, r)[0]["zhang"] for r in range(cfg.reps)]
+        calls.clear()
+        main, held = threading.current_thread(), []
+
+        def ran_by_main():
+            return sum(thread is main for thread, _, _ in calls)
+
+        def hold_the_helper(r):
+            # the helper's first bootstrap lasts until the calling thread,
+            # waiting on it in take, has run three of its own
+            if threading.current_thread() is not main and not held:
+                held.append(r)
+                deadline = time.monotonic() + 5
+                while ran_by_main() < 3 and time.monotonic() < deadline:
+                    time.sleep(0.002)
+
+        hooks.append(hold_the_helper)
+        report = run_coverage(cfg)
+        assert ran_by_main() >= 3
+        assert sorted(r for _, _, r in calls) == list(range(cfg.reps))
+        assert report.methods["zhang"].mean_width.tolist() == [o.mean_width for o in lone]
+        assert report.methods["zhang"].covered_set_rank.tolist() == [o.covered_set_rank
+                                                                     for o in lone]
 
     def test_no_thread_without_zhang(self, started):
         run_coverage(quick_scenario([0.0, 0.4, 0.9], reps=4, methods=("tukey", "seqtukey")))
         assert started == []
 
     def test_lone_replicate_bootstraps_inline(self, bootstraps, started):
-        calls, _ = bootstraps
+        calls, _, _ = bootstraps
         cfg = quick_scenario([0.0, 0.4, 0.9], reps=4)
         _run_replicate(cfg, 2)
         assert started == []
-        assert calls == [(threading.current_thread(), 0)]
+        assert calls == [(threading.current_thread(), 0, 2)]
 
     def test_main_side_error_stops_the_helper(self, monkeypatch, bootstraps):
-        calls, hooks = bootstraps
+        calls, hooks, _ = bootstraps
         raising = threading.Event()
         # the first bootstrap is still running when the main side raises
         hooks.append(lambda r: raising.wait(5) if r == 0 else None)
@@ -272,7 +308,7 @@ class TestBootstrapThread:
         assert threading.active_count() == threads_before
 
     def test_helper_runs_a_bounded_lead_ahead(self, monkeypatch, bootstraps):
-        calls, _ = bootstraps
+        calls, _, _ = bootstraps
 
         def slow(*args, **kwargs):
             # the main side stalls in replicate 0 long after the lead is run
@@ -288,10 +324,18 @@ class TestBootstrapThread:
         assert len(calls) == _BOOTSTRAP_LEAD < 50
 
     def test_later_bootstrap_error_reraises_once(self, monkeypatch, bootstraps):
-        calls, hooks = bootstraps
+        calls, hooks, done = bootstraps
+        fourth_started = threading.Event()
+        in_flight = []
 
         def broken(r):
+            if r == 4:
+                # replicate 4 runs on the other thread while replicate 3 raises
+                fourth_started.set()
+                time.sleep(0.2)
             if r == 3:
+                assert fourth_started.wait(5)
+                in_flight.extend((thread, r) for thread, _, r in calls if r not in done)
                 raise RuntimeError("bootstrap broke at replicate 3")
 
         hooks.append(broken)
@@ -299,10 +343,12 @@ class TestBootstrapThread:
         threads_before = threading.active_count()
         with pytest.raises(RuntimeError, match="replicate 3") as raised:
             run_coverage(quick_scenario([0.0, 1.0, 2.0], reps=6))
-        # replicates 0-2 are scored, replicate 3 raises, and the helper
-        # stops at the error
+        # replicates 0-2 are scored, replicate 3 raises; one bootstrap per
+        # thread was in flight when it did, and none started after it
         assert entered == [0, 1, 2, 3]
-        assert len(calls) == 4
+        assert sorted(r for _, r in in_flight) == [3, 4]
+        assert len({thread for thread, _ in in_flight}) == 2
+        assert sorted(r for _, _, r in calls) == [0, 1, 2, 3, 4]
         assert raised.value.__context__ is None
         assert threading.active_count() == threads_before
         assert mcquantile._live_helpers == 0
