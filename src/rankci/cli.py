@@ -71,14 +71,16 @@ def ingest_estimates(path: str) -> CenterSample:
     """Read and validate an estimates file into a sorted CenterSample.
 
     Cells follow CSV quoting, so a quoted id may hold the delimiter.  Raises
-    :class:`IngestError` naming the offending data row for non-numeric cells,
+    :class:`IngestError` naming the path for a file that cannot be read or
+    decoded as UTF-8 and for a required column missing from the header or
+    named twice, and naming the offending data row for non-numeric cells,
     non-positive standard errors and duplicate ids.
     """
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
         with open(path, encoding="utf-8-sig", newline="") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
     first = next((ln for ln in lines if ln.strip()), "")
     try:
@@ -94,6 +96,8 @@ def ingest_estimates(path: str) -> CenterSample:
     for col in _REQUIRED_COLUMNS:
         if col not in header:
             raise IngestError(f"{path}: missing required column {col!r}")
+        if header.count(col) > 1:
+            raise IngestError(f"{path}: column {col!r} is named more than once in the header")
         positions[col] = header.index(col)
 
     ids, estimates, errors, seen = [], [], [], set()

@@ -9,9 +9,8 @@ The two row-maxima vectors that do not depend on the data, over all pairs and
 over the negative pairs, are computed once per pool and cached on it, so every
 alpha and every method reads its critical value from the same vectors; the
 full-range quantile at each alpha is selected once per pool and kept too.  The
-pool also keeps the last restricted row maxima the sequential procedure
-stored, with their pair mask, so its next round can start from them.  They
-depend on the pool and the mask alone; dropping them only bounds memory.
+pool caches nothing else, so a shared pool carries no state from one sample
+to the next.
 
 The pool is one column-major buffer, so every pairwise operation reads two
 contiguous columns.  The row-maxima kernels split the pool rows into
@@ -64,14 +63,10 @@ class McPool:
     one row per center, and ``draws`` is its transpose, a view.  Both are
     read-only.  Pools compare and hash by identity.
 
-    The pool also carries a cache of row-maxima vectors, each of length N,
-    filled on first use by :func:`full_row_maxima` and
-    :func:`negative_row_maxima`, and holding the last vector given to
-    :func:`cache_restricted_row_maxima` with its mask.  Cached vectors and
-    masks are read-only, so no caller can change the quantiles later drawn
-    from the same pool.  ``_full_quantiles`` keeps each alpha's
-    :func:`studentized_range_quantile`, selected once from the full-range
-    vector.
+    ``_row_maxima`` caches the ``"full"`` and ``"negative"`` row maxima of
+    :func:`full_row_maxima` and :func:`negative_row_maxima`, read-only so no
+    caller can change a later quantile, and ``_full_quantiles`` each alpha's
+    :func:`studentized_range_quantile`; all depend on the pool alone.
     """
 
     _cols: np.ndarray = field(repr=False)
@@ -377,30 +372,6 @@ def negative_row_maxima(pool: McPool) -> np.ndarray:
     :func:`full_row_maxima`, and returned read-only from its cache.
     """
     return _cached_row_maxima(pool, "negative")
-
-
-def cached_restricted_row_maxima(pool: McPool):
-    """The ``(active, row maxima)`` last given to :func:`cache_restricted_row_maxima`, or None."""
-    return pool._row_maxima.get("restricted")
-
-
-def cache_restricted_row_maxima(pool: McPool, active: np.ndarray, values: np.ndarray) -> None:
-    """Keep ``values`` as the pool's last restricted row maxima, read-only.
-
-    ``active`` is a lower-triangular ``(n, n)`` mask of positive pairs, and
-    ``values`` must be the row maxima over those pairs and every negative
-    pair (i < j).  A copy of the mask is stored; both replace the entry
-    before.
-    """
-    active = np.array(active, dtype=bool)
-    active.setflags(write=False)
-    values.setflags(write=False)
-    pool._row_maxima["restricted"] = (active, values)
-
-
-def drop_restricted_row_maxima(pool: McPool) -> None:
-    """Forget the pool's restricted row maxima, if any; the full and negative ones stay."""
-    pool._row_maxima.pop("restricted", None)
 
 
 def studentized_range_quantile(pool: McPool, alpha: float) -> float:

@@ -8,9 +8,9 @@ first round that rejects nothing.  Keeping the negatives in the maximum is
 what anchors each interval to its empirical rank, and reusing one pool makes
 the critical values non-increasing by construction rather than on average.
 
-Each round only drops pairs, so its row maxima are derived from a superset's
-maxima kept on the pool: the previous round's, the last round of an earlier
-call on the same pool (the other level, say), or the full-range maxima.  Let
+Each round only drops pairs, so its row maxima are derived from the maxima
+of the round before in the same call, or for the first restricted round from
+the pool's full-range maxima; none are kept once the call returns.  Let
 ``base`` be the row maxima over the positive pairs A plus the negatives, and
 let the new round keep the subset B of A, dropping the pairs R.  A row keeps
 ``base`` unless its maximum may lie in R: ``max_R >= base`` while the
@@ -28,8 +28,6 @@ import numpy as np
 from .core import CenterSample, RankInterval, SimultaneousRankCIs, rank_bounds_from_rejections
 from .mcquantile import (
     McPool,
-    cache_restricted_row_maxima,
-    cached_restricted_row_maxima,
     empirical_quantile,
     full_row_maxima,
     negative_row_maxima,
@@ -108,22 +106,6 @@ def _row_maxima_from(pool: McPool, base_mask: np.ndarray, base: np.ndarray,
     return row_max
 
 
-def _active_row_maxima(pool: McPool, active: np.ndarray) -> np.ndarray:
-    """Row maxima over ``active``'s positive pairs and every negative pair, cached.
-
-    The base is the pool's last restricted maxima when their mask holds
-    ``active``, else the full-range maxima, whose mask is every positive pair.
-    """
-    cached = cached_restricted_row_maxima(pool)
-    if cached is not None and not np.any(active & ~cached[0]):
-        base_mask, base = cached
-    else:
-        base_mask, base = np.tri(pool.n_centers, k=-1, dtype=bool), full_row_maxima(pool)
-    row_max = _row_maxima_from(pool, base_mask, base, active)
-    cache_restricted_row_maxima(pool, active, row_max)
-    return row_max
-
-
 def sequential_tukey(sample: CenterSample, alpha: float, pool: McPool
                      ) -> tuple[SimultaneousRankCIs, SeqTrace]:
     """Sequentially rejective Tukey HSD on a sorted sample.
@@ -142,6 +124,7 @@ def sequential_tukey(sample: CenterSample, alpha: float, pool: McPool
     stat = _statistic_matrix(sample)
     rejected = np.zeros((n, n), dtype=bool)
     q = studentized_range_quantile(pool, alpha)
+    base_mask, base = np.tri(n, k=-1, dtype=bool), full_row_maxima(pool)
     steps: list[SeqStep] = []
 
     while True:
@@ -155,9 +138,11 @@ def sequential_tukey(sample: CenterSample, alpha: float, pool: McPool
         active = np.tril(~rejected, -1)
         if not active.any():
             break
-        # the negative pairs stay in every round; the row maxima derive from
-        # the last ones cached on the pool, shared across rounds and alphas
-        q = empirical_quantile(_active_row_maxima(pool, active), alpha)
+        # the negative pairs stay in every round; each round's row maxima
+        # derive from the round before's, the first from the full range's
+        base = _row_maxima_from(pool, base_mask, base, active)
+        base_mask = active
+        q = empirical_quantile(base, alpha)
 
     intervals = rank_bounds_from_rejections(rejected)
     cis = SimultaneousRankCIs(tuple(intervals), alpha, "seqtukey", iterations=len(steps))

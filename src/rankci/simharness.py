@@ -48,7 +48,6 @@ from .mcquantile import (
     DEFAULT_MC_SAMPLES,
     McPool,
     _in_background,
-    drop_restricted_row_maxima,
     make_mc_pool,
 )
 from .rankability import rankability_estimate, rankability_true
@@ -362,14 +361,14 @@ def _run_replicate(cfg: ScenarioConfig, r: int, live_pool=None, zhang_cis=None):
     on ``(cfg, r)`` alone: the sample and the bootstrap seed from
     ``(cfg.seed, r, tag)``, and the pool, taken from ``live_pool`` (a
     ``_LivePool``; a fresh one when not given), depends on ``cfg`` and the
-    sample's sorted sigmas only.  seqtukey's restricted row maxima depend on
-    the pool and their mask alone; they are dropped only to bound memory.
-    Coverage is scored against the true set-ranks of ``cfg.mu``, computed
-    here, O(n^2) and small beside the methods.  The bootstrap never reads
-    the pool: its CIs come from ``zhang_cis(r)`` when given (``run_coverage``
-    passes the ``take`` of :func:`_bootstraps_ahead`, whose helper thread
-    computes most of them ahead), and are otherwise computed here, after the
-    pool work, in the calling thread.
+    sample's sorted sigmas only; the pool caches only what depends on it
+    alone, so earlier replicates leave it as they found it.  Coverage is
+    scored against the true set-ranks of ``cfg.mu``, computed here, O(n^2)
+    and small beside the methods.  The bootstrap never reads the pool: its
+    CIs come from ``zhang_cis(r)`` when given (``run_coverage`` passes the
+    ``take`` of :func:`_bootstraps_ahead`, whose helper thread computes most
+    of them ahead), and are otherwise computed here, after the pool work, in
+    the calling thread.
     """
     mu = np.asarray(cfg.mu)
     set_ranks = true_set_ranks(mu)
@@ -383,7 +382,6 @@ def _run_replicate(cfg: ScenarioConfig, r: int, live_pool=None, zhang_cis=None):
     if "seqtukey" in cfg.methods:
         results["seqtukey"], trace = sequential_tukey(sample, cfg.alpha, pool)
         rejections["seqtukey"] = trace.final_rejected
-        drop_restricted_row_maxima(pool)
     if "tukey" in cfg.methods:
         results["tukey"] = tukey_rank_cis(sample, cfg.alpha, pool)
         if "seqtukey" in cfg.methods:

@@ -100,6 +100,24 @@ class TestIngest:
         centers = json.loads(out_file.read_text())["centers"]
         assert [c["id"] for c in centers] == ["x, inc", "y"]
 
+    def test_not_utf8_names_path(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("id,estimate,std_error\nZürich,1.0,0.5\nb,2.0,0.5\n".encode("latin-1"))
+        with pytest.raises(IngestError, match=re.escape(f"cannot read {path}: 'utf-8' codec")):
+            ingest_estimates(str(path))
+        assert main(["rank", "--input", str(path), "--mc-samples", "2000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}:") and err.count("\n") == 1
+
+    def test_required_column_named_twice(self, tmp_path, capsys):
+        path = tmp_path / "twice.csv"
+        path.write_text("id,estimate,std_error,estimate\na,1.0,0.5,9.0\nb,2.0,0.5,8.0\n")
+        with pytest.raises(IngestError, match="column 'estimate' is named more than once"):
+            ingest_estimates(str(path))
+        assert main(["rank", "--input", str(path), "--mc-samples", "2000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'estimate'" in err and err.count("\n") == 1
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError):
             ingest_estimates(str(tmp_path / "nope.csv"))

@@ -237,6 +237,17 @@ class TestSharedPoolCallOrder:
             for values in cached if isinstance(cached, tuple) else (cached,):
                 assert not values.flags.writeable
 
+    def test_pool_keeps_no_sample_state(self, samples):
+        # every restricted round runs, yet the pool keeps only what depends
+        # on the pool alone
+        pool = make_mc_pool(samples[0].sigma, self.N, seed=self.SEED)
+        for sample in samples:
+            for alpha in (0.05, 0.5):
+                _, trace = sequential_tukey(sample, alpha, pool)
+                assert trace.iterations >= 3
+        assert set(pool._row_maxima) == {"full", "negative"}
+        assert set(pool._full_quantiles) == {0.05, 0.5}
+
     def test_interleaved_masks_not_nested(self, samples):
         # the second sample's first restricted round keeps a pair the first
         # sample's last round had dropped, so its base must be the full range
