@@ -7,10 +7,15 @@ pair set: more pairs can only raise each row's maximum.
 
 The two row-maxima vectors that do not depend on the data, over all pairs and
 over the negative pairs, are computed once per pool and cached on it, so every
-alpha and every method reads its critical value from the same vectors; the
-full-range quantile at each alpha is selected once per pool and kept too.  The
-pool caches nothing else, so a shared pool carries no state from one sample
-to the next.
+alpha and every method reads its critical value from the same vectors.  At
+each alpha the full-range quantile and Qneg(alpha), the same order statistic
+of the negative-pair maxima, are selected once per pool and kept too.  A pair
+set that holds every negative pair has row maxima no smaller than the
+negative-pair ones, so its quantile at alpha is at least Qneg(alpha); seqtukey
+uses this floor to leave out the rows that cannot reach its quantiles, and
+:func:`empirical_quantile` takes a private count of such rows.  The pool
+caches nothing else, so a shared pool carries no state from one sample to the
+next.
 
 The pool is one column-major buffer, so every pairwise operation reads two
 contiguous columns.  The row-maxima kernels split the pool rows into
@@ -65,8 +70,9 @@ class McPool:
 
     ``_row_maxima`` caches the ``"full"`` and ``"negative"`` row maxima of
     :func:`full_row_maxima` and :func:`negative_row_maxima`, read-only so no
-    caller can change a later quantile, and ``_full_quantiles`` each alpha's
-    :func:`studentized_range_quantile`; all depend on the pool alone.
+    caller can change a later quantile, ``_full_quantiles`` each alpha's
+    :func:`studentized_range_quantile`, and ``_negative_quantiles`` each
+    alpha's Qneg, :func:`negative_pair_quantile`; all depend on the pool alone.
     """
 
     _cols: np.ndarray = field(repr=False)
@@ -74,6 +80,7 @@ class McPool:
     seed: int
     _row_maxima: dict = field(default_factory=dict, init=False, repr=False)
     _full_quantiles: dict = field(default_factory=dict, init=False, repr=False)
+    _negative_quantiles: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self._cols.ndim != 2 or len(self._cols) != self.sigma.size:
@@ -151,11 +158,15 @@ def make_mc_pool(sigma, n_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0) -> M
     return McPool(cols, sigma, int(seed))
 
 
-def empirical_quantile(values: np.ndarray, alpha: float) -> float:
+def empirical_quantile(values: np.ndarray, alpha: float, _below: int = 0) -> float:
     """Upper order statistic at 1-based index ceil((1-alpha)*N).
 
     This convention never falls below the conventional empirical quantile,
     and it is deterministic, which keeps the monotonicity arguments exact.
+
+    ``_below`` counts values left out of ``values`` because they lie strictly
+    below the result: N is ``values.size + _below``, and the statistic is the
+    ``(k - _below)``-th smallest of ``values``, the same value.
 
     Raises
     ------
@@ -166,14 +177,14 @@ def empirical_quantile(values: np.ndarray, alpha: float) -> float:
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    n = values.size
+    n = values.size + _below
     k = int(np.ceil((1.0 - alpha) * n))
     if k >= n:
         raise ValueError(
             f"alpha={alpha:g} is too small for N={n} Monte-Carlo samples: the critical "
             f"value would be the pool maximum; use a larger --mc-samples (alpha * N >= 1)"
         )
-    return float(np.partition(values, k - 1)[k - 1])
+    return float(np.partition(values, k - 1 - _below)[k - 1 - _below])
 
 
 def _usable_cores() -> int:
@@ -386,6 +397,18 @@ def studentized_range_quantile(pool: McPool, alpha: float) -> float:
     if alpha not in pool._full_quantiles:
         pool._full_quantiles[alpha] = empirical_quantile(full_row_maxima(pool), alpha)
     return pool._full_quantiles[alpha]
+
+
+def negative_pair_quantile(pool: McPool, alpha: float) -> float:
+    """Qneg(alpha): the empirical (1-alpha)-quantile of :func:`negative_row_maxima`.
+
+    Every pair set that holds all negative pairs has row maxima at least the
+    negative-pair ones, so its quantile at alpha is at least Qneg(alpha).
+    Each alpha's order statistic is selected once per pool and kept with it.
+    """
+    if alpha not in pool._negative_quantiles:
+        pool._negative_quantiles[alpha] = empirical_quantile(negative_row_maxima(pool), alpha)
+    return pool._negative_quantiles[alpha]
 
 
 def restricted_max_quantile(pool: McPool, pairs: np.ndarray, alpha: float) -> float:

@@ -19,6 +19,22 @@ negatives stay below ``base`` (``>=``, because a maximum attained in R equals
 with the negatives.  A maximum is exact and every pair value comes from the
 same elementwise formula, so the derived maxima are bit for bit the direct
 ones.  When |R| >= |B| the maxima over B are computed directly instead.
+
+The rounds need only the pool rows that can reach their quantiles.  Every
+round keeps all negative pairs, so each row's maximum is at least its
+negative-pair maximum and every round's quantile at alpha is at least
+Qneg(alpha), the same order statistic of the negative-pair maxima.  A row
+whose full-range maximum is below Qneg(alpha) stays below every round's
+quantile, so only the count m of such rows matters.  The first restricted
+round keeps the rows with ``full >= Qneg(alpha)``; when at most a quarter of
+the pool's rows are kept, every round runs on a copy of those rows
+(``take_rows``), starting from their slices of the pool's full-range and
+negative-pair maxima, and selects the (k - m)-th order statistic of the kept
+rows, k = ceil((1 - alpha) N) over all N rows.  This is the k-th of all rows,
+ties at Qneg(alpha) included: fewer than k rows lie below Qneg(alpha), and the
+m rows left out are among them.  When more are kept (typically at alpha = 0.5) the
+copy would cost more than it saves, and the rounds run on the whole pool with
+m = 0.
 """
 
 from dataclasses import dataclass
@@ -30,6 +46,7 @@ from .mcquantile import (
     McPool,
     empirical_quantile,
     full_row_maxima,
+    negative_pair_quantile,
     negative_row_maxima,
     pair_row_maxima,
     studentized_range_quantile,
@@ -80,16 +97,39 @@ class SeqTrace:
         return self.steps[-1].rejected_total if self.steps else None
 
 
+#: Largest share of the pool's rows the restricted rounds run on as a copy;
+#: past it (typically at alpha = 0.5, which keeps half the rows or more) the
+#: copy's memory and gather cost more than the smaller rounds save.
+_MAX_KEPT_SHARE = 0.25
+
+
+def _rows_reaching(pool: McPool, alpha: float):
+    """The pool rows the restricted quantiles at ``alpha`` are selected from.
+
+    Returns ``(rows, full, negative, below)``: a pool of the rows whose
+    full-range maximum is at least Qneg(alpha), or ``pool`` itself when more
+    than ``_MAX_KEPT_SHARE`` of its rows are, with those rows' full-range and
+    negative-pair maxima, and the number of rows left out, all below every
+    restricted quantile at ``alpha``.
+    """
+    full, negative = full_row_maxima(pool), negative_row_maxima(pool)
+    keep = full >= negative_pair_quantile(pool, alpha)
+    if np.count_nonzero(keep) > _MAX_KEPT_SHARE * pool.n_samples:
+        return pool, full, negative, 0
+    keep = np.flatnonzero(keep)
+    return pool.take_rows(keep), full[keep], negative[keep], pool.n_samples - keep.size
+
+
 def _row_maxima_from(pool: McPool, base_mask: np.ndarray, base: np.ndarray,
-                     active: np.ndarray) -> np.ndarray:
+                     negative: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Row maxima over ``active``'s positive pairs and every negative pair.
 
     ``base`` holds the row maxima over ``base_mask``'s positive pairs and
-    every negative pair, and ``active`` is a subset of ``base_mask``.  Only
-    the rows whose maximum may lie in a dropped pair are recomputed (see the
-    module docstring); the result may be ``base`` itself.
+    every negative pair, ``negative`` those over the negative pairs alone,
+    and ``active`` is a subset of ``base_mask``.  Only the rows whose maximum
+    may lie in a dropped pair are recomputed (see the module docstring); the
+    result may be ``base`` itself.
     """
-    negative = negative_row_maxima(pool)
     dropped = base_mask & ~active
     n_dropped = np.count_nonzero(dropped)
     if n_dropped >= np.count_nonzero(active):
@@ -124,7 +164,7 @@ def sequential_tukey(sample: CenterSample, alpha: float, pool: McPool
     stat = _statistic_matrix(sample)
     rejected = np.zeros((n, n), dtype=bool)
     q = studentized_range_quantile(pool, alpha)
-    base_mask, base = np.tri(n, k=-1, dtype=bool), full_row_maxima(pool)
+    base_mask, base = np.tri(n, k=-1, dtype=bool), None
     steps: list[SeqStep] = []
 
     while True:
@@ -138,11 +178,13 @@ def sequential_tukey(sample: CenterSample, alpha: float, pool: McPool
         active = np.tril(~rejected, -1)
         if not active.any():
             break
+        if base is None:
+            rows, base, negative, below = _rows_reaching(pool, alpha)
         # the negative pairs stay in every round; each round's row maxima
         # derive from the round before's, the first from the full range's
-        base = _row_maxima_from(pool, base_mask, base, active)
+        base = _row_maxima_from(rows, base_mask, base, negative, active)
         base_mask = active
-        q = empirical_quantile(base, alpha)
+        q = empirical_quantile(base, alpha, _below=below)
 
     intervals = rank_bounds_from_rejections(rejected)
     cis = SimultaneousRankCIs(tuple(intervals), alpha, "seqtukey", iterations=len(steps))

@@ -9,7 +9,10 @@ bit for bit, not just approximately:
   ``|y|, |c| <= 2^20`` keeps every sum and difference exact, and the pool
   depends on ``sigma`` only;
 * a row maximum is exact, so seqtukey's row maxima derived from a superset's
-  are the ones computed directly.
+  are the ones computed directly, on the whole pool or on a copy of some of
+  its rows;
+* an order statistic is an exact selection, so leaving out values known to lie
+  below it and shifting its index by their count selects the same value.
 """
 
 import numpy as np
@@ -20,14 +23,22 @@ from hypothesis import strategies as st
 from rankci import (
     BootstrapConfig,
     CenterSample,
+    McPool,
     make_mc_pool,
     mcquantile,
     rankability_estimate,
+    seqtukey,
     sequential_tukey,
     tukey_rank_cis,
     zhang_simultaneous,
 )
-from rankci.mcquantile import full_row_maxima, negative_row_maxima, pair_row_maxima
+from rankci.mcquantile import (
+    empirical_quantile,
+    full_row_maxima,
+    negative_row_maxima,
+    pair_row_maxima,
+    restricted_max_quantile,
+)
 from rankci.seqtukey import _row_maxima_from
 
 pytestmark = pytest.mark.filterwarnings("ignore:observed estimates contain exact ties")
@@ -171,8 +182,8 @@ def direct_row_maxima(pool, active):
 
 @pytest.mark.parametrize("spans", [None, (3, 100)], ids=["one-span", "row-spans"])
 @PROPERTY
-@given(nested_masks())
-def test_derived_row_maxima_bit_identical(spans, case):
+@given(nested_masks(), st.integers(1, 2 * POOL_ROWS))
+def test_derived_row_maxima_bit_identical(spans, case, n_kept):
     sigma, seed, base_mask, active = case
     with pytest.MonkeyPatch.context() as patch:
         if spans is not None:
@@ -180,9 +191,75 @@ def test_derived_row_maxima_bit_identical(spans, case):
             patch.setattr(mcquantile, "_usable_cores", lambda: cores)
             patch.setattr(mcquantile, "_MIN_SPAN_ROWS", min_rows)
         pool = make_mc_pool(sigma, 2 * POOL_ROWS, seed=seed)
+        negative = negative_row_maxima(pool)
         if base_mask.sum() == sigma.size * (sigma.size - 1) // 2:
             base = full_row_maxima(pool)
         else:
             base = direct_row_maxima(pool, base_mask)
-        derived = _row_maxima_from(pool, base_mask, base, active)
-        assert derived.tobytes() == direct_row_maxima(pool, active).tobytes()
+        direct = direct_row_maxima(pool, active)
+        derived = _row_maxima_from(pool, base_mask, base, negative, active)
+        assert derived.tobytes() == direct.tobytes()
+        # on a copy of some rows, from those rows' slices of the maxima
+        kept = np.sort(np.random.default_rng(seed).choice(pool.n_samples, n_kept, replace=False))
+        derived = _row_maxima_from(pool.take_rows(kept), base_mask, base[kept],
+                                   negative[kept], active)
+        assert derived.tobytes() == direct[kept].tobytes()
+
+
+@st.composite
+def floored_maxima(draw):
+    """(negative, restricted, full, alpha): row maxima from a small integer set.
+
+    ``negative <= restricted <= full`` row by row, as for the negative-pair,
+    a restricted and the full-range maxima of one pool; the small set makes
+    ties at every order statistic, Qneg included, dense.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(20, 300))
+    negative = rng.integers(0, 4, n).astype(float)
+    restricted = negative + rng.integers(0, 2, n)
+    full = restricted + rng.integers(0, 2, n)
+    return negative, restricted, full, draw(st.floats(0.01, 0.7))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(floored_maxima(), st.integers(0, 1))
+def test_kept_rows_select_the_quantile_of_all_rows(case, lower_by):
+    # rows whose full-range maximum is below a floor at or under Qneg are left
+    # out, and the kept rows' order statistic, its index shifted by their
+    # count, is the order statistic of all rows, or both are refused
+    negative, restricted, full, alpha = case
+    try:
+        expected = empirical_quantile(restricted, alpha)
+    except ValueError:
+        # the refusal counts the rows left out
+        with pytest.raises(ValueError, match="too small"):
+            empirical_quantile(restricted[1:], alpha, _below=1)
+        return
+    keep = full >= empirical_quantile(negative, alpha) - lower_by
+    below = restricted.size - np.count_nonzero(keep)
+    assert empirical_quantile(restricted[keep], alpha, _below=below) == expected
+
+
+@PROPERTY
+@given(instances(), st.sampled_from([0.05, 0.1, 0.2, 0.5]), st.sampled_from([0.0, 0.25, 1.0]),
+       st.booleans())
+def test_round_critical_values_are_restricted_quantiles(instance, alpha, kept_share, tied):
+    # every round after the first selects the restricted-max quantile over
+    # the unrejected positives and every negative pair, over all pool rows,
+    # whether the rounds run on the whole pool or on the rows that reach Qneg;
+    # a pool of small integers makes rows tied at Qneg common
+    y, sigma, seed = instance
+    sample = CenterSample.from_observations(y, sigma)
+    if tied:
+        draws = np.random.default_rng(seed).integers(-2, 3, (sample.n, POOL_ROWS))
+        pool = McPool(draws.astype(float), sample.sigma, seed)
+    else:
+        pool = make_mc_pool(sample.sigma, POOL_ROWS, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(seqtukey, "_MAX_KEPT_SHARE", kept_share)
+        _, trace = sequential_tukey(sample, alpha, pool)
+    positives = np.tri(sample.n, k=-1, dtype=bool)
+    for before, q in zip(trace.steps, trace.critical_values[1:]):
+        remaining = positives & ~before.rejected_total
+        assert q == restricted_max_quantile(pool, remaining | positives.T, alpha)

@@ -1,8 +1,10 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from rankci.core import CenterSample, rank_bounds_from_rejections
-from rankci.mcquantile import make_mc_pool, pair_row_maxima
+from rankci.mcquantile import McPool, make_mc_pool, pair_row_maxima, restricted_max_quantile
 from rankci.seqtukey import sequential_tukey
 from rankci.tukey import tukey_rank_cis, tukey_rejected_pairs
 
@@ -190,7 +192,11 @@ class TestSequentialTukey:
 
 
 class TestSharedPoolCallOrder:
-    """The restricted row maxima cached on a pool change no result, in any call order."""
+    """A pool shared by several samples and levels gives each call the result of a fresh pool.
+
+    The pool caches only what depends on it alone (its row maxima and
+    per-alpha quantiles), so no call order can change a result.
+    """
 
     N = 4_000
     SEED = 11
@@ -247,13 +253,74 @@ class TestSharedPoolCallOrder:
                 assert trace.iterations >= 3
         assert set(pool._row_maxima) == {"full", "negative"}
         assert set(pool._full_quantiles) == {0.05, 0.5}
+        assert set(pool._negative_quantiles) == {0.05, 0.5}
 
     def test_interleaved_masks_not_nested(self, samples):
-        # the second sample's first restricted round keeps a pair the first
-        # sample's last round had dropped, so its base must be the full range
+        # guards the fixture: the second sample's first restricted round
+        # keeps a pair the first sample's last round had dropped, so row
+        # maxima carried over from the first call would be no valid base
+        # for the second, and the call-order tests above run that sequence
         pool = make_mc_pool(samples[0].sigma, self.N, seed=self.SEED)
         _, first = sequential_tukey(samples[0], 0.05, pool)
         _, second = sequential_tukey(samples[1], 0.05, pool)
         last_active = np.tril(~first.final_rejected, -1)
         active = np.tril(~second.steps[0].rejected_total, -1)
         assert np.any(active & ~last_active)
+
+
+def closed_testing_rejections(sample, alpha, pool):
+    """The rejections of the closed testing procedure seqtukey shortcuts, by brute force.
+
+    The local test of a nonempty set S of positive pairs rejects when the
+    largest statistic in S exceeds the restricted-max quantile over S and
+    every negative pair, on the same pool.  A pair is rejected when every S
+    that holds it is rejected (Goeman & Solari 2010, sequential rejection).
+    """
+    n = sample.n
+    sig2 = sample.sigma ** 2
+    stat = (sample.y[:, None] - sample.y[None, :]) / np.sqrt(sig2[:, None] + sig2[None, :])
+    positives = list(zip(*np.nonzero(positive_mask(n))))
+    negatives = positive_mask(n).T
+    rejected = positive_mask(n)
+    for size in range(1, len(positives) + 1):
+        for subset in combinations(positives, size):
+            held = mask(n, subset)
+            if not stat[held].max() > restricted_max_quantile(pool, held | negatives, alpha):
+                rejected &= ~held
+    return rejected
+
+
+class TestClosedTestingOracle:
+    """seqtukey rejects exactly what closed testing of its local tests rejects."""
+
+    @pytest.mark.filterwarnings("ignore:observed estimates contain exact ties")
+    @pytest.mark.parametrize("kind", ["spread", "tied", "none", "all"])
+    @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.5])
+    @pytest.mark.parametrize("sigmas", ["equal", "unequal"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_equals_closed_testing(self, n, sigmas, alpha, kind, monkeypatch):
+        sigma = np.ones(n) if sigmas == "equal" else np.linspace(0.6, 1.4, n)
+        y = {"spread": 1.8 * np.arange(n),
+             "tied": 3.6 * (np.arange(n) // 2),  # 0, 0, 3.6, 3.6, 7.2
+             "none": np.zeros(n),
+             "all": 20.0 * np.arange(n)}[kind]
+        sample = CenterSample.from_observations(y, sigma)
+        pool = make_mc_pool(sample.sigma, 2_000, seed=5)
+        rows_taken = []
+        take_rows = McPool.take_rows
+
+        def recording(self, rows):
+            rows_taken.append(len(rows))
+            return take_rows(self, rows)
+
+        monkeypatch.setattr(McPool, "take_rows", recording)
+        _, trace = sequential_tukey(sample, alpha, pool)
+        assert np.array_equal(trace.final_rejected, closed_testing_rejections(sample, alpha, pool))
+        if kind == "none":
+            assert not trace.final_rejected.any()
+        if kind == "all":
+            assert np.array_equal(trace.final_rejected, positive_mask(n))
+        if kind == "spread" and alpha == 0.05:
+            # a restricted round runs, on a copy of the rows that reach Qneg
+            assert trace.iterations >= 2
+            assert 0 < rows_taken[0] <= pool.n_samples // 4
