@@ -5,17 +5,11 @@ Because all quantiles are order statistics of row-wise maxima taken over the
 *same* rows, the quantile is exactly (not just statistically) monotone in the
 pair set: more pairs can only raise each row's maximum.
 
-The two row-maxima vectors that do not depend on the data, over all pairs and
-over the negative pairs, are computed once per pool and cached on it, so every
-alpha and every method reads its critical value from the same vectors.  At
-each alpha the full-range quantile and Qneg(alpha), the same order statistic
-of the negative-pair maxima, are selected once per pool and kept too.  A pair
-set that holds every negative pair has row maxima no smaller than the
-negative-pair ones, so its quantile at alpha is at least Qneg(alpha); seqtukey
-uses this floor to leave out the rows that cannot reach its quantiles, and
-:func:`empirical_quantile` takes a private count of such rows.  The pool
-caches nothing else, so a shared pool carries no state from one sample to the
-next.
+The pool keeps one memo of what depends on it alone: its full-range and
+negative-pair row maxima, computed once, and at each alpha the full-range
+quantile and the rows that can reach a restricted quantile
+(:func:`rows_reaching`), each selected once.  Nothing in it depends on a
+sample, so a shared pool carries no state from one sample to the next.
 
 The pool is one column-major buffer, so every pairwise operation reads two
 contiguous columns.  The row-maxima kernels split the pool rows into
@@ -55,6 +49,11 @@ _DRAW_CHUNK_ROWS = 4096
 #: Fewest pool rows a row-maxima thread is given; smaller pools run in one span.
 _MIN_SPAN_ROWS = 25_000
 
+#: Largest share of the pool's rows :func:`rows_reaching` copies; past it
+#: (typically at alpha = 0.5, which keeps half the rows or more) the copy's
+#: memory and gather cost more than the smaller restricted rounds save.
+_MAX_KEPT_SHARE = 0.25
+
 
 @dataclass(frozen=True, eq=False)
 class McPool:
@@ -68,19 +67,18 @@ class McPool:
     one row per center, and ``draws`` is its transpose, a view.  Both are
     read-only.  Pools compare and hash by identity.
 
-    ``_row_maxima`` caches the ``"full"`` and ``"negative"`` row maxima of
-    :func:`full_row_maxima` and :func:`negative_row_maxima`, read-only so no
-    caller can change a later quantile, ``_full_quantiles`` each alpha's
-    :func:`studentized_range_quantile`, and ``_negative_quantiles`` each
-    alpha's Qneg, :func:`negative_pair_quantile`; all depend on the pool alone.
+    ``_memo`` holds what depends on the pool alone, filled through
+    :func:`_memoized`: under ``"row_maxima"`` the full-range and negative-pair
+    row maxima, under ``("full", alpha)`` each alpha's
+    :func:`studentized_range_quantile`, and under ``("kept", alpha)`` each
+    alpha's :func:`rows_reaching` entry.  Its arrays are read-only, so no
+    caller can change a later quantile.
     """
 
     _cols: np.ndarray = field(repr=False)
     sigma: np.ndarray
     seed: int
-    _row_maxima: dict = field(default_factory=dict, init=False, repr=False)
-    _full_quantiles: dict = field(default_factory=dict, init=False, repr=False)
-    _negative_quantiles: dict = field(default_factory=dict, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self._cols.ndim != 2 or len(self._cols) != self.sigma.size:
@@ -105,7 +103,7 @@ class McPool:
         return np.array_equal(self.sigma, np.asarray(sigma, dtype=float))
 
     def take_rows(self, rows) -> "McPool":
-        """A pool of the given rows of this one, copied, with an empty cache."""
+        """A pool of the given rows of this one, copied, with an empty memo."""
         return McPool(np.take(self._cols, rows, axis=1), self.sigma, self.seed)
 
 
@@ -299,8 +297,21 @@ def pair_row_maxima(pool: McPool, i_idx: np.ndarray, j_idx: np.ndarray) -> np.nd
     return out
 
 
-def _fill_row_maxima(pool: McPool) -> None:
-    """Cache the ``"full"`` and ``"negative"`` row maxima in one pass.
+def _memoized(pool: McPool, key, make):
+    """``pool._memo[key]``, set to ``make()`` on first use.
+
+    Nothing is kept when ``make`` raises, so a refused level is refused on
+    every call; two threads that race on a key at most make it twice.  No
+    value may refer to the pool: a pool reachable from its own memo is freed
+    only by the cycle collector, so its draws would outlive their last user.
+    """
+    if key not in pool._memo:
+        pool._memo[key] = make()
+    return pool._memo[key]
+
+
+def _fill_row_maxima(pool: McPool) -> tuple[np.ndarray, np.ndarray]:
+    """The full-range and negative-pair row maxima, read-only, made in one pass.
 
     With equal sigmas and scale ``s``, both reduce to order statistics of
     each row: the negative-pair maximum is ``max_j (max_{i<j} Y_i - Y_j) / s``,
@@ -316,6 +327,8 @@ def _fill_row_maxima(pool: McPool) -> None:
     two is the maximum of ``|d_ij|`` over all ordered pairs, bit for bit what
     a loop over ordered pairs gives.
     """
+    if pool.n_centers < 2:
+        raise ValueError("need at least 2 centers to form a pair")
     cols = pool._cols
     sigma = pool.sigma
     full, negative = np.empty(pool.n_samples), np.empty(pool.n_samples)
@@ -348,18 +361,14 @@ def _fill_row_maxima(pool: McPool) -> None:
             np.maximum(upper, lower, out=upper)
 
     _over_row_spans(pool.n_samples, kernel)
-    for name, values in (("full", full), ("negative", negative)):
-        values.setflags(write=False)
-        pool._row_maxima[name] = values
+    full.setflags(write=False)
+    negative.setflags(write=False)
+    return full, negative
 
 
-def _cached_row_maxima(pool: McPool, key: str) -> np.ndarray:
-    """The pool's ``"full"`` or ``"negative"`` row maxima, filling both on first use."""
-    if pool.n_centers < 2:
-        raise ValueError("need at least 2 centers to form a pair")
-    if key not in pool._row_maxima:
-        _fill_row_maxima(pool)
-    return pool._row_maxima[key]
+def _row_maxima(pool: McPool) -> tuple[np.ndarray, np.ndarray]:
+    """The pool's full-range and negative-pair row maxima, both made on first use."""
+    return _memoized(pool, "row_maxima", lambda: _fill_row_maxima(pool))
 
 
 def full_row_maxima(pool: McPool) -> np.ndarray:
@@ -369,9 +378,9 @@ def full_row_maxima(pool: McPool) -> np.ndarray:
     (max - min); with unequal sigmas the n(n-1)/2 unordered pairs are visited
     once, taking ``|Y_i - Y_j| / sqrt(sigma_i^2 + sigma_j^2)``.  The vector is
     computed once per pool, with :func:`negative_row_maxima`, and returned
-    read-only from its cache.
+    read-only from the pool's memo.
     """
-    return _cached_row_maxima(pool, "full")
+    return _row_maxima(pool)[0]
 
 
 def negative_row_maxima(pool: McPool) -> np.ndarray:
@@ -380,9 +389,9 @@ def negative_row_maxima(pool: McPool) -> np.ndarray:
     These are the negative pairs of a sorted sample, which the sequential
     procedure keeps in every round.  With equal sigmas this is a running
     prefix maximum, O(n) per row.  The vector is computed once per pool, with
-    :func:`full_row_maxima`, and returned read-only from its cache.
+    :func:`full_row_maxima`, and returned read-only from the pool's memo.
     """
-    return _cached_row_maxima(pool, "negative")
+    return _row_maxima(pool)[1]
 
 
 def studentized_range_quantile(pool: McPool, alpha: float) -> float:
@@ -391,24 +400,44 @@ def studentized_range_quantile(pool: McPool, alpha: float) -> float:
     The statistic per pool row is
     ``max over i != j of |Y_i - Y_j| / sqrt(sigma_i^2 + sigma_j^2)``,
     equal to the restricted maximum over the full ordered-pair set.  It is
-    read from the pool's cached :func:`full_row_maxima`, and each alpha's
-    order statistic is selected once per pool and kept with it.
+    read from :func:`full_row_maxima`, and each alpha's order statistic is
+    selected once per pool and kept in its memo.
     """
-    if alpha not in pool._full_quantiles:
-        pool._full_quantiles[alpha] = empirical_quantile(full_row_maxima(pool), alpha)
-    return pool._full_quantiles[alpha]
+    return _memoized(pool, ("full", alpha),
+                     lambda: empirical_quantile(full_row_maxima(pool), alpha))
 
 
-def negative_pair_quantile(pool: McPool, alpha: float) -> float:
-    """Qneg(alpha): the empirical (1-alpha)-quantile of :func:`negative_row_maxima`.
+def _kept_rows(pool: McPool, alpha: float):
+    """Read-only indices and maxima of the rows reaching Qneg(alpha); None past the share."""
+    full, negative = _row_maxima(pool)
+    keep = full >= empirical_quantile(negative, alpha)
+    if np.count_nonzero(keep) > _MAX_KEPT_SHARE * pool.n_samples:
+        return None
+    keep = np.flatnonzero(keep)
+    kept = keep, full[keep], negative[keep]
+    for values in kept:
+        values.setflags(write=False)
+    return kept
 
-    Every pair set that holds all negative pairs has row maxima at least the
-    negative-pair ones, so its quantile at alpha is at least Qneg(alpha).
-    Each alpha's order statistic is selected once per pool and kept with it.
+
+def rows_reaching(pool: McPool, alpha: float):
+    """The pool rows the restricted quantiles at ``alpha`` are selected from.
+
+    A pair set that holds every negative pair has row maxima at least the
+    negative-pair ones, so its quantile is at least Qneg(alpha), the same
+    order statistic of :func:`negative_row_maxima`; a row whose full-range
+    maximum is below Qneg(alpha) cannot reach it.  Returns ``(rows, full,
+    negative, below)``: a pool of the rows that can, their full-range and
+    negative-pair maxima, and the number of rows left out; or, when more
+    than ``_MAX_KEPT_SHARE`` of the rows can, ``pool`` itself, all its maxima
+    and 0.  The rows are chosen once per pool and alpha, and copied on every
+    call: a copy kept in the memo would stay in memory between calls.
     """
-    if alpha not in pool._negative_quantiles:
-        pool._negative_quantiles[alpha] = empirical_quantile(negative_row_maxima(pool), alpha)
-    return pool._negative_quantiles[alpha]
+    kept = _memoized(pool, ("kept", alpha), lambda: _kept_rows(pool, alpha))
+    if kept is None:  # a marker, not the pool itself: see _memoized
+        return (pool, *_row_maxima(pool), 0)
+    rows, full, negative = kept
+    return pool.take_rows(rows), full, negative, pool.n_samples - rows.size
 
 
 def restricted_max_quantile(pool: McPool, pairs: np.ndarray, alpha: float) -> float:

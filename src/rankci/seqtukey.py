@@ -21,20 +21,16 @@ same elementwise formula, so the derived maxima are bit for bit the direct
 ones.  When |R| >= |B| the maxima over B are computed directly instead.
 
 The rounds need only the pool rows that can reach their quantiles.  Every
-round keeps all negative pairs, so each row's maximum is at least its
-negative-pair maximum and every round's quantile at alpha is at least
-Qneg(alpha), the same order statistic of the negative-pair maxima.  A row
-whose full-range maximum is below Qneg(alpha) stays below every round's
-quantile, so only the count m of such rows matters.  The first restricted
-round keeps the rows with ``full >= Qneg(alpha)``; when at most a quarter of
-the pool's rows are kept, every round runs on a copy of those rows
-(``take_rows``), starting from their slices of the pool's full-range and
-negative-pair maxima, and selects the (k - m)-th order statistic of the kept
-rows, k = ceil((1 - alpha) N) over all N rows.  This is the k-th of all rows,
-ties at Qneg(alpha) included: fewer than k rows lie below Qneg(alpha), and the
-m rows left out are among them.  When more are kept (typically at alpha = 0.5) the
-copy would cost more than it saves, and the rounds run on the whole pool with
-m = 0.
+round keeps all negative pairs, so its quantile at alpha is at least
+Qneg(alpha), and the pool selects once per alpha the rows whose full-range
+maximum is not below it (:func:`rankci.mcquantile.rows_reaching`).  When at
+most a quarter of its rows are kept, every round runs on a copy of them,
+starting from their slices of the pool's maxima, and selects the (k - m)-th
+order statistic of the kept rows, m the rows left out and k = ceil((1 -
+alpha) N) over all N rows.  This is the k-th of all rows, ties at
+Qneg(alpha) included: fewer than k rows lie below Qneg(alpha), and the m
+rows left out are among them.  Otherwise the rounds run on the whole pool
+with m = 0.
 """
 
 from dataclasses import dataclass
@@ -45,10 +41,8 @@ from .core import CenterSample, RankInterval, SimultaneousRankCIs, rank_bounds_f
 from .mcquantile import (
     McPool,
     empirical_quantile,
-    full_row_maxima,
-    negative_pair_quantile,
-    negative_row_maxima,
     pair_row_maxima,
+    rows_reaching,
     studentized_range_quantile,
 )
 from .tukey import _check_pool, _statistic_matrix
@@ -95,29 +89,6 @@ class SeqTrace:
     def final_rejected(self) -> np.ndarray | None:
         """The cumulative rejection mask of the last round; None without rounds."""
         return self.steps[-1].rejected_total if self.steps else None
-
-
-#: Largest share of the pool's rows the restricted rounds run on as a copy;
-#: past it (typically at alpha = 0.5, which keeps half the rows or more) the
-#: copy's memory and gather cost more than the smaller rounds save.
-_MAX_KEPT_SHARE = 0.25
-
-
-def _rows_reaching(pool: McPool, alpha: float):
-    """The pool rows the restricted quantiles at ``alpha`` are selected from.
-
-    Returns ``(rows, full, negative, below)``: a pool of the rows whose
-    full-range maximum is at least Qneg(alpha), or ``pool`` itself when more
-    than ``_MAX_KEPT_SHARE`` of its rows are, with those rows' full-range and
-    negative-pair maxima, and the number of rows left out, all below every
-    restricted quantile at ``alpha``.
-    """
-    full, negative = full_row_maxima(pool), negative_row_maxima(pool)
-    keep = full >= negative_pair_quantile(pool, alpha)
-    if np.count_nonzero(keep) > _MAX_KEPT_SHARE * pool.n_samples:
-        return pool, full, negative, 0
-    keep = np.flatnonzero(keep)
-    return pool.take_rows(keep), full[keep], negative[keep], pool.n_samples - keep.size
 
 
 def _row_maxima_from(pool: McPool, base_mask: np.ndarray, base: np.ndarray,
@@ -179,7 +150,7 @@ def sequential_tukey(sample: CenterSample, alpha: float, pool: McPool
         if not active.any():
             break
         if base is None:
-            rows, base, negative, below = _rows_reaching(pool, alpha)
+            rows, base, negative, below = rows_reaching(pool, alpha)
         # the negative pairs stay in every round; each round's row maxima
         # derive from the round before's, the first from the full range's
         base = _row_maxima_from(rows, base_mask, base, negative, active)

@@ -301,50 +301,41 @@ def _bootstraps_ahead(cfg: ScenarioConfig):
     """
     _check_bootstraps_fit(cfg.n, cfg.boot.n_boot, copies=min(cfg.reps, 2))
     ready = threading.Condition()
-    made, failed = {}, {}
+    done = {}  # replicate -> (cis, error); an error stays, so no bootstrap starts after it
     state = {"claimed": 0, "taken": 0, "stop": False}
 
-    def claimable():
-        r = state["claimed"]
-        return not (state["stop"] or failed) and r < min(cfg.reps, state["taken"] + _BOOTSTRAP_LEAD)
-
-    def run(r):
-        try:
-            outcome, into = _bootstrap_cis(cfg, r), made
-        except Exception as exc:  # re-raised by take(r)
-            outcome, into = exc, failed
-        with ready:
-            into[r] = outcome
-            ready.notify_all()
-
-    def produce():
+    def work(until):
+        # claim and run bootstraps in replicate order until until(); wait while none may start
         while True:
             with ready:
-                ready.wait_for(lambda: claimable() or state["stop"] or failed
-                               or state["claimed"] == cfg.reps)
-                if not claimable():
+                ready.wait_for(lambda: until() or (
+                    not state["stop"] and all(error is None for _, error in done.values())
+                    and state["claimed"] < min(cfg.reps, state["taken"] + _BOOTSTRAP_LEAD)))
+                if until():
                     return
                 r = state["claimed"]
                 state["claimed"] = r + 1
-            run(r)
+            try:
+                outcome = _bootstrap_cis(cfg, r), None
+            except Exception as exc:  # re-raised by take(r)
+                outcome = None, exc
+            with ready:
+                done[r] = outcome
+                ready.notify_all()
 
     def take(r):
-        while True:
-            with ready:
-                # wait only while r runs in the other thread and no bootstrap may start here
-                ready.wait_for(lambda: r in made or r in failed or claimable())
-                if r in made:
-                    state["taken"] = r + 1
-                    ready.notify_all()
-                    return made.pop(r)
-                if r in failed:
-                    break
-                s = state["claimed"]
-                state["claimed"] = s + 1
-            run(s)
-        raise failed[r]
+        work(lambda: r in done)
+        with ready:
+            cis, error = done[r]
+            if error is None:
+                del done[r]
+                state["taken"] = r + 1
+                ready.notify_all()
+        if error is not None:
+            raise error
+        return cis
 
-    with _in_background(produce):
+    with _in_background(lambda: work(lambda: state["stop"] or state["claimed"] == cfg.reps)):
         try:
             yield take
         finally:
@@ -361,8 +352,8 @@ def _run_replicate(cfg: ScenarioConfig, r: int, live_pool=None, zhang_cis=None):
     on ``(cfg, r)`` alone: the sample and the bootstrap seed from
     ``(cfg.seed, r, tag)``, and the pool, taken from ``live_pool`` (a
     ``_LivePool``; a fresh one when not given), depends on ``cfg`` and the
-    sample's sorted sigmas only; the pool caches only what depends on it
-    alone, so earlier replicates leave it as they found it.  Coverage is
+    sample's sorted sigmas only; the pool's memo holds only what depends on
+    it alone, so earlier replicates leave it as they found it.  Coverage is
     scored against the true set-ranks of ``cfg.mu``, computed here, O(n^2)
     and small beside the methods.  The bootstrap never reads the pool: its
     CIs come from ``zhang_cis(r)`` when given (``run_coverage`` passes the

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import math
 import os
 import sys
 import threading
@@ -179,6 +180,53 @@ class TestStudentizedRangeQuantile:
         for _ in range(2):
             with pytest.raises(ValueError, match="alpha=0.0001"):
                 studentized_range_quantile(pool, 1e-4)
+
+
+def exact_range_quantile(n, alpha):
+    """The (1-alpha)-quantile of range(Z) / sqrt(2) for n iid N(0, 1), to about 1e-9.
+
+    This is the equal-sigma full-range statistic.  Its CDF is
+    ``P(stat <= q) = n * integral phi(z) [Phi(z + q sqrt 2) - Phi(z)]^(n-1) dz``,
+    here by 400-node Gauss-Legendre quadrature on [-8.5, 8.5], with Phi from
+    ``math.erf``; q is found by bisection.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(400)
+    z, weights = 8.5 * nodes, 8.5 * weights
+    erf = np.frompyfunc(math.erf, 1, 1)
+
+    def big_phi(x):
+        return 0.5 + 0.5 * erf(x / math.sqrt(2)).astype(float)
+
+    density, below = np.exp(-z * z / 2) / math.sqrt(2 * math.pi), big_phi(z)
+    lo, hi = 0.0, 10.0
+    for _ in range(60):
+        q = (lo + hi) / 2
+        cdf = n * np.sum(weights * density * (big_phi(z + q * math.sqrt(2)) - below) ** (n - 1))
+        lo, hi = (q, hi) if cdf < 1 - alpha else (lo, q)
+    return (lo + hi) / 2
+
+
+class TestExactEqualSigmaOracle:
+    """The pool's full-range maxima against the exact equal-sigma distribution."""
+
+    def test_oracle_matches_tables(self):
+        assert exact_range_quantile(2, 0.05) == pytest.approx(Z_975, abs=1e-6)
+        assert exact_range_quantile(3, 0.05) == pytest.approx(SR3_95_OVER_SQRT2, abs=1e-6)
+        # studentized-range points for infinite df, divided by sqrt(2)
+        assert exact_range_quantile(10, 0.05) == pytest.approx(3.1636836, abs=1e-7)
+        assert exact_range_quantile(50, 0.05) == pytest.approx(3.9923433, abs=1e-7)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 20, 50])
+    def test_exact_quantile_ranks_within_binomial_band(self, n):
+        # the number of pool maxima at or below the exact quantile is
+        # Binomial(N, 1 - alpha); on seed 0 it lies within 2.35 sd of the
+        # pool quantile's index k at every n and alpha here
+        n_samples = 100_000
+        full = full_row_maxima(make_mc_pool(np.ones(n), n_samples, seed=0))
+        for alpha in (0.01, 0.05, 0.2, 0.5):
+            rank = np.count_nonzero(full <= exact_range_quantile(n, alpha))
+            k = math.ceil((1 - alpha) * n_samples)
+            assert abs(rank - k) <= 4 * math.sqrt(n_samples * alpha * (1 - alpha))
 
 
 class TestRestrictedMaxQuantile:

@@ -27,7 +27,6 @@ from rankci import (
     make_mc_pool,
     mcquantile,
     rankability_estimate,
-    seqtukey,
     sequential_tukey,
     tukey_rank_cis,
     zhang_simultaneous,
@@ -257,7 +256,7 @@ def test_round_critical_values_are_restricted_quantiles(instance, alpha, kept_sh
     else:
         pool = make_mc_pool(sample.sigma, POOL_ROWS, seed=seed)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(seqtukey, "_MAX_KEPT_SHARE", kept_share)
+        patch.setattr(mcquantile, "_MAX_KEPT_SHARE", kept_share)
         _, trace = sequential_tukey(sample, alpha, pool)
     positives = np.tri(sample.n, k=-1, dtype=bool)
     for before, q in zip(trace.steps, trace.critical_values[1:]):

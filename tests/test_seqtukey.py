@@ -1,11 +1,15 @@
+import gc
+import weakref
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from rankci import mcquantile
 from rankci.core import CenterSample, rank_bounds_from_rejections
 from rankci.mcquantile import McPool, make_mc_pool, pair_row_maxima, restricted_max_quantile
 from rankci.seqtukey import sequential_tukey
+from rankci.simharness import preset_scenario, run_coverage
 from rankci.tukey import tukey_rank_cis, tukey_rejected_pairs
 
 
@@ -15,6 +19,13 @@ def mask(n, pairs):
     for i, j in pairs:
         out[i, j] = True
     return out
+
+
+def memo_arrays(pool):
+    """Every array in the pool's memo, those inside its tuples included."""
+    entries = (v for entry in pool._memo.values()
+               for v in (entry if isinstance(entry, tuple) else (entry,)))
+    return [v for v in entries if isinstance(v, np.ndarray)]
 
 
 def positive_mask(n):
@@ -194,8 +205,9 @@ class TestSequentialTukey:
 class TestSharedPoolCallOrder:
     """A pool shared by several samples and levels gives each call the result of a fresh pool.
 
-    The pool caches only what depends on it alone (its row maxima and
-    per-alpha quantiles), so no call order can change a result.
+    The pool's memo keeps only what depends on the pool alone (its row
+    maxima, and per alpha its full-range quantile and the rows that reach
+    Qneg), so no call order can change a result.
     """
 
     N = 4_000
@@ -239,9 +251,8 @@ class TestSharedPoolCallOrder:
         # gathered stale rows
         assert all(len(qs) >= 3 for qs, _ in fresh.values())
         assert min(rows_seen) < self.N
-        for cached in pool._row_maxima.values():
-            for values in cached if isinstance(cached, tuple) else (cached,):
-                assert not values.flags.writeable
+        for values in memo_arrays(pool):
+            assert not values.flags.writeable
 
     def test_pool_keeps_no_sample_state(self, samples):
         # every restricted round runs, yet the pool keeps only what depends
@@ -251,9 +262,8 @@ class TestSharedPoolCallOrder:
             for alpha in (0.05, 0.5):
                 _, trace = sequential_tukey(sample, alpha, pool)
                 assert trace.iterations >= 3
-        assert set(pool._row_maxima) == {"full", "negative"}
-        assert set(pool._full_quantiles) == {0.05, 0.5}
-        assert set(pool._negative_quantiles) == {0.05, 0.5}
+        assert set(pool._memo) == {"row_maxima", ("full", 0.05), ("full", 0.5),
+                                   ("kept", 0.05), ("kept", 0.5)}
 
     def test_interleaved_masks_not_nested(self, samples):
         # guards the fixture: the second sample's first restricted round
@@ -266,6 +276,67 @@ class TestSharedPoolCallOrder:
         last_active = np.tril(~first.final_rejected, -1)
         active = np.tril(~second.steps[0].rejected_total, -1)
         assert np.any(active & ~last_active)
+
+
+class TestPoolMemo:
+    """The pool's memo keeps only what depends on the pool alone, and never the pool."""
+
+    @staticmethod
+    def run_both_levels(pool):
+        # a spread sample: at alpha 0.05 a restricted round runs on the copy
+        # of the rows that reach Qneg, at 0.5 more than a quarter reach it
+        rng = np.random.default_rng(4)
+        sigma = np.full(24, 0.8)
+        sample = CenterSample.from_observations(np.arange(24) * 0.4 + sigma * rng.standard_normal(24),
+                                                sigma)
+        for alpha in (0.05, 0.5):
+            _, trace = sequential_tukey(sample, alpha, pool)
+            assert trace.iterations >= 3
+        assert pool._memo["kept", 0.05] is not None
+        assert pool._memo["kept", 0.5] is None
+
+    def test_memo_never_holds_its_pool(self):
+        # without the cycle collector, a pool reachable from its own memo
+        # would stay alive after its last reference is dropped
+        gc.disable()
+        try:
+            pool = make_mc_pool(np.full(24, 0.8), 4_000, seed=11)
+            self.run_both_levels(pool)
+            freed = weakref.ref(pool)
+            del pool
+            assert freed() is None
+        finally:
+            gc.enable()
+
+    def test_memo_arrays_read_only(self):
+        pool = make_mc_pool(np.full(24, 0.8), 4_000, seed=11)
+        self.run_both_levels(pool)
+        # the two row-maxima vectors and the kept rows' indices and maxima
+        arrays = memo_arrays(pool)
+        assert len(arrays) == 5
+        for values in arrays:
+            with pytest.raises(ValueError):
+                values[0] = 0
+
+    def test_rows_selected_once_per_pool_and_alpha(self, monkeypatch):
+        selected, reached = [], []
+        kept_rows, rows_reaching = mcquantile._kept_rows, mcquantile.rows_reaching
+
+        def counted_selection(pool, alpha):
+            selected.append((pool, alpha))
+            return kept_rows(pool, alpha)
+
+        def counted_call(pool, alpha):
+            reached.append(alpha)
+            return rows_reaching(pool, alpha)
+
+        monkeypatch.setattr(mcquantile, "_kept_rows", counted_selection)
+        monkeypatch.setattr("rankci.seqtukey.rows_reaching", counted_call)
+        run_coverage(preset_scenario("paper3", reps=12, methods=("tukey", "seqtukey"),
+                                     mc_samples=20_000))
+        # the replicates share one pool, and several run restricted rounds
+        assert len(selected) == len(set(selected)) == 1
+        assert len(reached) > 1
 
 
 def closed_testing_rejections(sample, alpha, pool):
