@@ -15,7 +15,8 @@ between one helper thread per call and the calling thread.  It draws and
 scales the K replicates a chunk of rows at a time, and turns each chunk's
 stable sort order straight into cells of one count table
 (:class:`RankCounts`), so no rank matrix is built and each bisection step
-is one O(K) count; ``rank`` bisects both its levels on it.
+is one O(K) count; ``rank`` bisects both its levels on it.  The tests
+keep the table's definition from a rank matrix, which the draw must match.
 """
 
 import math
@@ -74,11 +75,6 @@ def _type3_index(size: int, p: float) -> int:
     g = nppm - j
     gamma = 0 if (abs(g) < 1e-9 and j % 2 == 0) else 1
     return min(max(j + gamma, 1), size)
-
-
-def quantile_type3(sorted_values: np.ndarray, p: float) -> float:
-    """Nearest-order-statistic quantile of sorted values, at :func:`_type3_index`."""
-    return float(sorted_values[_type3_index(sorted_values.size, p) - 1])
 
 
 def make_bootstrap_draws(sample: CenterSample, cfg: BootstrapConfig) -> np.ndarray:
@@ -152,17 +148,6 @@ class RankCounts:
     at_most: np.ndarray
     fewest_at_most: np.ndarray
     most_below: np.ndarray
-
-    @classmethod
-    def of(cls, ranks: np.ndarray) -> "RankCounts":
-        """The counts of K x n 1-based ranks; center i at rank v is cell ``i * (n + 1) + v``.
-
-        The definition the draw is tested against: :meth:`draw` counts the
-        same cells straight from each replicate's sort order.
-        """
-        n = ranks.shape[1]
-        cells = ranks + np.arange(0, n * (n + 1), n + 1, dtype=np.int32)
-        return cls._of_cells(cells, np.bincount(cells.ravel(), minlength=n * (n + 1)))
 
     @classmethod
     def draw(cls, sample: CenterSample, cfg: BootstrapConfig) -> "RankCounts":

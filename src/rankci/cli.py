@@ -2,10 +2,14 @@
 
 Input files are delimited text (comma or tab, autodetected) with header
 columns ``id``, ``estimate``, ``std_error``; extra columns are ignored.
+``rank`` runs its methods at alpha and 0.5 through the runner ``simulate``
+uses too (:func:`rankci.simharness.run_methods`); its table, JSON, TSV and
+plot data all render one output model built once from the result.
 Human-readable tables go to stdout, headed by the run's start time;
 machine-readable JSON/TSV goes to files and embeds the run manifest, which
 holds no time, so a rerun with the same flags and seed reproduces the bytes
-exactly.  An unwritable output path or a negative seed ends the run with one
+exactly.  An unwritable output path, a negative seed, or ``--out json|tsv``
+and ``--out-file`` given one without the other ends the run with one
 ``error:`` line and exit status 2.
 """
 
@@ -24,7 +28,7 @@ from .bootstrap import BootstrapConfig, RankCounts, zhang_simultaneous
 from .core import KNOWN_METHODS, CenterSample
 from .mcquantile import DEFAULT_MC_SAMPLES, _in_background, make_mc_pool
 from .rankability import rankability_estimate
-from .seqtukey import sequential_tukey
+from .seqtukey import sequential_tukey  # noqa: F401  (uncalled; perfbench/tracer.py patches it)
 from .simharness import (
     PRESET_CENTERS,
     _TAG_BOOT,
@@ -33,8 +37,9 @@ from .simharness import (
     _child_seed,
     preset_scenario,
     run_coverage,
+    run_methods,
 )
-from .tukey import tukey_rank_cis
+from .tukey import tukey_rank_cis  # noqa: F401  (uncalled; perfbench/tracer.py patches it)
 
 __all__ = ["IngestError", "RunManifest", "ingest_estimates", "cmd_rank", "cmd_simulate", "main"]
 
@@ -126,11 +131,11 @@ def ingest_estimates(path: str) -> CenterSample:
 
 
 def _run_methods(sample: CenterSample, methods, alpha, mc_samples, boot_samples, seed):
-    """Run the requested estimators; rankability at alpha and at 0.5.
+    """:func:`rankci.simharness.run_methods` on the requested estimators at alpha and 0.5.
 
     The bootstrap never reads the Monte-Carlo pool, so both of its levels
     run in a thread of their own, started before the pool fill and joined
-    where its intervals are needed.  Both are bisected on one ranked draw.
+    after the pool methods.  Both are bisected on one ranked draw.
     """
     bootstrap = contextlib.nullcontext()
     if "zhang" in methods:
@@ -143,108 +148,72 @@ def _run_methods(sample: CenterSample, methods, alpha, mc_samples, boot_samples,
 
         bootstrap = _in_background(both_levels)
     with bootstrap as join_bootstrap:
-        pool = None
-        if "tukey" in methods or "seqtukey" in methods:
-            pool = make_mc_pool(sample.sigma, mc_samples, seed=_child_seed(seed, _TAG_POOL))
-        out = {}
-        for m in methods:
-            entry = {}
-            if m == "tukey":
-                cis = tukey_rank_cis(sample, alpha, pool)
-                cis_half = tukey_rank_cis(sample, 0.5, pool)
-            elif m == "seqtukey":
-                cis, trace = sequential_tukey(sample, alpha, pool)
-                cis_half, _ = sequential_tukey(sample, 0.5, pool)
-                entry["iterations"] = cis.iterations
-                entry["trace"] = trace
-            else:
-                res, res_half = join_bootstrap()
-                cis = res.cis
-                cis_half = res_half.cis
-                entry["achieved_coverage"] = res.achieved_coverage
-                entry["beta_final"] = res.beta_final
-                entry["converged"] = res.converged
-            entry["cis"] = cis
-            if sample.n >= 2:
-                entry["rankability"] = rankability_estimate(cis)
-                entry["rankability_midlevel"] = rankability_estimate(cis_half).value
-            out[m] = entry
-    return out
+        return run_methods(
+            sample, methods, (alpha, 0.5),
+            lambda: make_mc_pool(sample.sigma, mc_samples, seed=_child_seed(seed, _TAG_POOL)),
+            join_bootstrap)
 
 
 def _fmt(value: float) -> str:
     return format(float(value), ".10g")
 
 
-def _rank_rows(sample: CenterSample, results):
+def _rank_model(sample: CenterSample, runs) -> dict:
     """The one output model of ``rank``, built once per run in input order.
 
     ``centers`` holds one ``{"id", "estimate", "std_error", "rank"}`` dict per
-    center, where rank is the sorted position + 1; ``bounds[method]`` holds
-    the matching ``(lower, upper)`` pairs.
+    center, where rank is the sorted position + 1.  ``results[method]``
+    holds the matching ``intervals`` and what else the method reports:
+    rankability (with two or more centers), seqtukey's iterations, zhang's
+    bisection outcome.  The table, JSON, TSV and plot data all read it.
     """
     centers = sample.to_input_order(
         {"id": str(ident), "estimate": float(est), "std_error": float(se), "rank": k + 1}
         for k, (ident, est, se) in enumerate(zip(sample.ids, sample.y, sample.sigma))
     )
-    bounds = {
-        method: sample.to_input_order((ci.lower, ci.upper) for ci in entry["cis"].intervals)
-        for method, entry in results.items()
-    }
-    return centers, bounds
+    results = {}
+    for method, [(cis, _, detail), (cis_half, _, _)] in runs.items():
+        bounds = sample.to_input_order((ci.lower, ci.upper) for ci in cis.intervals)
+        block = {"intervals": [{"id": row["id"], "lower": int(lower), "upper": int(upper)}
+                               for row, (lower, upper) in zip(centers, bounds)]}
+        if sample.n >= 2:
+            est = rankability_estimate(cis)
+            block["rankability"] = {
+                "value": est.value, "alpha": est.alpha, "ci": [est.ci_lower, est.ci_upper],
+                "midlevel_point_estimate": rankability_estimate(cis_half).value}
+        if method == "seqtukey":
+            block["iterations"] = cis.iterations
+        elif method == "zhang":
+            block.update(achieved_coverage=detail.achieved_coverage,
+                         beta_final=detail.beta_final, converged=detail.converged)
+        results[method] = block
+    return {"centers": centers, "results": results}
 
 
-def _print_rank_table(manifest: RunManifest, started: str, results, centers, bounds) -> None:
+def _print_rank_table(manifest: RunManifest, started: str, model: dict) -> None:
     print(f"# {manifest.input}  alpha={manifest.alpha:g}  seed={manifest.seed}  "
           f"run at {started}")
-    for method, entry in results.items():
+    for method, block in model["results"].items():
         print(f"\nmethod: {method}")
         print(f"{'id':<12} {'estimate':>12} {'std_error':>10} {'rank':>5} {'L':>4} {'U':>4}")
-        for row, (lower, upper) in zip(centers, bounds[method]):
+        for row, ci in zip(model["centers"], block["intervals"]):
             print(f"{row['id']:<12} {row['estimate']:>12.6g} {row['std_error']:>10.6g} "
-                  f"{row['rank']:>5} {lower:>4} {upper:>4}")
-        if "rankability" in entry:
-            est = entry["rankability"]
-            print(f"rankability: {est.value:.4f}, {100 * (1 - est.alpha):g}% CI "
-                  f"[{est.ci_lower:.4f}, 1]; point estimate at level 0.5: "
-                  f"{entry['rankability_midlevel']:.4f}")
-        if "iterations" in entry:
-            print(f"iterations: {entry['iterations']}")
+                  f"{row['rank']:>5} {ci['lower']:>4} {ci['upper']:>4}")
+        if "rankability" in block:
+            est = block["rankability"]
+            print(f"rankability: {est['value']:.4f}, {100 * (1 - est['alpha']):g}% CI "
+                  f"[{est['ci'][0]:.4f}, 1]; point estimate at level 0.5: "
+                  f"{est['midlevel_point_estimate']:.4f}")
+        if "iterations" in block:
+            print(f"iterations: {block['iterations']}")
 
 
-def _print_trace(results) -> None:
-    entry = results.get("seqtukey")
-    if entry is None:
-        return
+def _print_trace(trace) -> None:
     print("\nsequential trace:")
-    for k, step in enumerate(entry["trace"].steps, start=1):
+    for k, step in enumerate(trace.steps, start=1):
         print(f"iter {k}: q={step.critical_value:.6g}, "
               f"newly rejected {np.count_nonzero(step.newly_rejected)}, "
               f"total {np.count_nonzero(step.rejected_total)}")
-
-
-def _results_blocks(results, centers, bounds) -> dict:
-    blocks = {}
-    for method, entry in results.items():
-        block = {
-            "intervals": [
-                {"id": row["id"], "lower": int(lower), "upper": int(upper)}
-                for row, (lower, upper) in zip(centers, bounds[method])
-            ],
-        }
-        if "rankability" in entry:
-            est = entry["rankability"]
-            block["rankability"] = {
-                "value": est.value,
-                "alpha": est.alpha,
-                "ci": [est.ci_lower, est.ci_upper],
-                "midlevel_point_estimate": entry["rankability_midlevel"],
-            }
-        for key in ("iterations", "achieved_coverage", "beta_final", "converged"):
-            if key in entry:
-                block[key] = entry[key]
-        blocks[method] = block
-    return blocks
 
 
 def _center_cells(row) -> str:
@@ -283,26 +252,26 @@ def cmd_rank(args) -> int:
         mc_samples=args.mc_samples, boot_samples=args.boot_samples,
         seed=args.seed, out_format=args.out,
     )
-    results = _run_methods(sample, methods, args.alpha,
-                           args.mc_samples, args.boot_samples, args.seed)
-    centers, bounds = _rank_rows(sample, results)
-    _print_rank_table(manifest, started, results, centers, bounds)
-    if args.trace:
-        _print_trace(results)
-    _emit(args, manifest,
-          {"centers": centers, "results": _results_blocks(results, centers, bounds)},
+    runs = _run_methods(sample, methods, args.alpha,
+                        args.mc_samples, args.boot_samples, args.seed)
+    model = _rank_model(sample, runs)
+    _print_rank_table(manifest, started, model)
+    if args.trace and "seqtukey" in runs:
+        _print_trace(runs["seqtukey"][0][2])
+    centers, results = model["centers"], model["results"]
+    _emit(args, manifest, model,
           "id\testimate\tstd_error\trank\tmethod\tlower\tupper",
-          (f"{_center_cells(row)}\t{row['rank']}\t{method}\t{lower}\t{upper}"
-           for method, pairs in bounds.items()
-           for row, (lower, upper) in zip(centers, pairs)))
+          (f"{_center_cells(row)}\t{row['rank']}\t{method}\t{ci['lower']}\t{ci['upper']}"
+           for method, block in results.items()
+           for row, ci in zip(centers, block["intervals"])))
     if args.plot_data:
         # band-chart-ready: one row per center per method, in rank order
         by_rank = sorted(range(sample.n), key=lambda i: centers[i]["rank"])
         _write_lines(args.plot_data,
                      ["position\tid\testimate\tstd_error\tmethod\tlower\tupper"]
                      + [f"{centers[i]['rank']}\t{_center_cells(centers[i])}\t{method}"
-                        f"\t{pairs[i][0]}\t{pairs[i][1]}"
-                        for method, pairs in bounds.items() for i in by_rank])
+                        f"\t{block['intervals'][i]['lower']}\t{block['intervals'][i]['upper']}"
+                        for method, block in results.items() for i in by_rank])
     return 0
 
 
@@ -432,9 +401,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # checked before any work, so a missing path costs no run
-        if args.out != "table" and not args.out_file:
-            raise IngestError("--out-file is required with --out json/tsv")
+        # checked before any work, so a missing or unused path costs no run
+        if (args.out != "table") != bool(args.out_file):
+            raise IngestError("--out json/tsv and --out-file must be given together")
         return args.func(args)
     except (IngestError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,6 +27,10 @@ sqrt(alpha (1 - alpha) / N), about 0.0007 at alpha = 0.05 and N = 1e5, far
 below the binomial noise of a coverage rate over 100 replicates (about
 0.022).
 
+``rank`` and ``simulate`` run their methods through :func:`run_methods`.
+When seqtukey runs, Tukey's rejections are those of its round one, which
+on a shared pool are exactly the single-step ones.
+
 Two coverage criteria are kept side by side: the normative one scores
 containment of the true set-ranks; the legacy index criterion scores
 containment of each sorted observation's original input position, which
@@ -42,8 +46,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, _check_bootstraps_fit, zhang_simultaneous
-from .core import KNOWN_METHODS, CenterSample, true_set_ranks, truth_partition
+from .bootstrap import BootstrapConfig, ZhangResult, _check_bootstraps_fit, zhang_simultaneous
+from .core import (
+    KNOWN_METHODS,
+    CenterSample,
+    SimultaneousRankCIs,
+    rank_bounds_from_rejections,
+    true_set_ranks,
+    truth_partition,
+)
 from .mcquantile import (
     DEFAULT_MC_SAMPLES,
     McPool,
@@ -52,7 +63,8 @@ from .mcquantile import (
 )
 from .rankability import rankability_estimate, rankability_true
 from .seqtukey import sequential_tukey
-from .tukey import tukey_rank_cis, tukey_rejected_pairs
+# tukey_rank_cis is uncalled here; perfbench/tracer.py patches it by this name
+from .tukey import tukey_rank_cis, tukey_rejected_pairs  # noqa: F401
 
 __all__ = [
     "ScenarioConfig",
@@ -233,6 +245,37 @@ class CoverageReport:
         return "\n".join(lines)
 
 
+def run_methods(sample: CenterSample, methods, levels, pool, zhang) -> dict:
+    """The one method runner of ``rank`` and ``simulate``: ``methods`` at each of ``levels``.
+
+    Returns ``{method: [(cis, rejected, detail) per level]}`` in the order of
+    ``methods``: the mask of rejected pairs (None for zhang, and for
+    seqtukey on one center), and seqtukey's trace or zhang's
+    :class:`ZhangResult` (None for tukey).  ``pool()`` is called once, only
+    when tukey or seqtukey runs; ``zhang()``, which returns one result per
+    level, is called last, so a bootstrap running beside the pool work is
+    joined once that work is done.
+    """
+    runs = {}
+    if "tukey" in methods or "seqtukey" in methods:
+        shared = pool()
+    if "seqtukey" in methods:
+        runs["seqtukey"] = [(cis, trace.final_rejected, trace) for cis, trace in
+                            (sequential_tukey(sample, level, shared) for level in levels)]
+    if "tukey" in methods:
+        runs["tukey"] = []
+        for k, level in enumerate(levels):
+            steps = runs["seqtukey"][k][2].steps if "seqtukey" in runs else ()
+            # round one of seqtukey makes exactly Tukey's rejections on the shared pool
+            rejected = (steps[0].newly_rejected if steps
+                        else tukey_rejected_pairs(sample, level, shared))
+            cis = SimultaneousRankCIs(tuple(rank_bounds_from_rejections(rejected)), level, "tukey")
+            runs["tukey"].append((cis, rejected, None))
+    if "zhang" in methods:
+        runs["zhang"] = [(res.cis, None, res) for res in zhang()]
+    return {m: runs[m] for m in methods}
+
+
 class _Outcome(NamedTuple):
     """One method's score on one replicate, in the field order of MethodStats."""
 
@@ -271,10 +314,10 @@ def _replicate_sample(cfg: ScenarioConfig, r: int) -> CenterSample:
     return CenterSample.from_observations(mu + sigma * data_rng.standard_normal(cfg.n), sigma)
 
 
-def _bootstrap_cis(cfg: ScenarioConfig, r: int):
-    """Replicate r's zhang CIs: its sample, bootstrapped from ``(cfg.seed, r, _TAG_BOOT)``."""
+def _bootstrap_cis(cfg: ScenarioConfig, r: int) -> ZhangResult:
+    """Replicate r's zhang result: its sample, bootstrapped from ``(cfg.seed, r, _TAG_BOOT)``."""
     bcfg = dataclasses.replace(cfg.boot, seed=_child_seed(cfg.seed, r, _TAG_BOOT))
-    return zhang_simultaneous(_replicate_sample(cfg, r), cfg.alpha, bcfg).cis
+    return zhang_simultaneous(_replicate_sample(cfg, r), cfg.alpha, bcfg)
 
 
 #: Replicates whose bootstraps may start ahead of those taken.  Replicate 0
@@ -287,7 +330,7 @@ _BOOTSTRAP_LEAD = 8
 def _bootstraps_ahead(cfg: ScenarioConfig):
     """Share every replicate's bootstrap between one helper thread and the calling thread.
 
-    Yields ``take(r)``, which returns replicate r's zhang CIs; replicates are
+    Yields ``take(r)``, which returns replicate r's zhang result; replicates are
     taken in order.  Both threads claim bootstraps in replicate order, from
     one counter, each no more than ``_BOOTSTRAP_LEAD`` replicates past those
     taken, so each replicate is bootstrapped exactly once: the helper runs
@@ -301,7 +344,7 @@ def _bootstraps_ahead(cfg: ScenarioConfig):
     """
     _check_bootstraps_fit(cfg.n, cfg.boot.n_boot, copies=min(cfg.reps, 2))
     ready = threading.Condition()
-    done = {}  # replicate -> (cis, error); an error stays, so no bootstrap starts after it
+    done = {}  # replicate -> (result, error); an error stays, so no bootstrap starts after it
     state = {"claimed": 0, "taken": 0, "stop": False}
 
     def work(until):
@@ -326,14 +369,14 @@ def _bootstraps_ahead(cfg: ScenarioConfig):
     def take(r):
         work(lambda: r in done)
         with ready:
-            cis, error = done[r]
+            result, error = done[r]
             if error is None:
                 del done[r]
                 state["taken"] = r + 1
                 ready.notify_all()
         if error is not None:
             raise error
-        return cis
+        return result
 
     with _in_background(lambda: work(lambda: state["stop"] or state["claimed"] == cfg.reps)):
         try:
@@ -344,21 +387,22 @@ def _bootstraps_ahead(cfg: ScenarioConfig):
                 ready.notify_all()
 
 
-def _run_replicate(cfg: ScenarioConfig, r: int, live_pool=None, zhang_cis=None):
+def _run_replicate(cfg: ScenarioConfig, r: int, live_pool=None, zhang=None):
     """Draw replicate r's sample, run the requested methods and score each.
 
     Returns ``({method: _Outcome}, nested)``, where ``nested`` is False only
-    when seqtukey's intervals are not nested in Tukey's.  The result depends
-    on ``(cfg, r)`` alone: the sample and the bootstrap seed from
+    when seqtukey's intervals are not nested in Tukey's.  The methods run
+    through :func:`run_methods` at ``cfg.alpha``.  The result depends on
+    ``(cfg, r)`` alone: the sample and the bootstrap seed from
     ``(cfg.seed, r, tag)``, and the pool, taken from ``live_pool`` (a
     ``_LivePool``; a fresh one when not given), depends on ``cfg`` and the
     sample's sorted sigmas only; the pool's memo holds only what depends on
     it alone, so earlier replicates leave it as they found it.  Coverage is
     scored against the true set-ranks of ``cfg.mu``, computed here, O(n^2)
     and small beside the methods.  The bootstrap never reads the pool: its
-    CIs come from ``zhang_cis(r)`` when given (``run_coverage`` passes the
+    result comes from ``zhang(r)`` when given (``run_coverage`` passes the
     ``take`` of :func:`_bootstraps_ahead`, whose helper thread computes most
-    of them ahead), and are otherwise computed here, after the pool work, in
+    of them ahead), and is otherwise computed here, after the pool work, in
     the calling thread.
     """
     mu = np.asarray(cfg.mu)
@@ -366,32 +410,16 @@ def _run_replicate(cfg: ScenarioConfig, r: int, live_pool=None, zhang_cis=None):
     if live_pool is None:
         live_pool = _LivePool(cfg)
     sample = _replicate_sample(cfg, r)
-
-    results, rejections = {}, {}
-    if "tukey" in cfg.methods or "seqtukey" in cfg.methods:
-        pool = live_pool.for_sigma(sample.sigma)
-    if "seqtukey" in cfg.methods:
-        results["seqtukey"], trace = sequential_tukey(sample, cfg.alpha, pool)
-        rejections["seqtukey"] = trace.final_rejected
-    if "tukey" in cfg.methods:
-        results["tukey"] = tukey_rank_cis(sample, cfg.alpha, pool)
-        if "seqtukey" in cfg.methods:
-            # round one of the sequential procedure makes exactly the
-            # single-step rejections on a shared pool
-            rejections["tukey"] = trace.steps[0].newly_rejected if trace.steps else None
-        else:
-            rejections["tukey"] = tukey_rejected_pairs(sample, cfg.alpha, pool)
-    if "zhang" in cfg.methods:
-        results["zhang"] = zhang_cis(r) if zhang_cis is not None else _bootstrap_cis(cfg, r)
+    runs = run_methods(sample, cfg.methods, (cfg.alpha,),
+                       lambda: live_pool.for_sigma(sample.sigma),
+                       lambda: (zhang(r) if zhang is not None else _bootstrap_cis(cfg, r),))
 
     # a rejected pair (i, j) claims mu_i > mu_j; it is a false rejection
     # when the one-sided hypothesis mu_i <= mu_j was true
     true_mask, _ = truth_partition(mu[sample.order])
     outcomes = {}
-    for m in cfg.methods:
-        cis = results[m]
+    for m, [(cis, rejected, _)] in runs.items():
         intervals = list(zip(cis.intervals, sample.order.tolist()))
-        rejected = rejections.get(m)
         outcomes[m] = _Outcome(
             covered_set_rank=all(ci.contains_set_rank(set_ranks[k]) for ci, k in intervals),
             covered_index=all(ci.contains_rank(k + 1) for ci, k in intervals),
@@ -400,8 +428,8 @@ def _run_replicate(cfg: ScenarioConfig, r: int, live_pool=None, zhang_cis=None):
             false_rejection=(None if m == "zhang"
                              else rejected is not None and bool(np.any(rejected & true_mask))),
         )
-    both_tested = "tukey" in results and "seqtukey" in results
-    return outcomes, not both_tested or results["seqtukey"].is_nested_in(results["tukey"])
+    both_tested = "tukey" in runs and "seqtukey" in runs
+    return outcomes, not both_tested or runs["seqtukey"][0][0].is_nested_in(runs["tukey"][0][0])
 
 
 def run_coverage(cfg: ScenarioConfig) -> CoverageReport:
@@ -420,8 +448,8 @@ def run_coverage(cfg: ScenarioConfig) -> CoverageReport:
     """
     live_pool = _LivePool(cfg)
     bootstraps = _bootstraps_ahead(cfg) if "zhang" in cfg.methods else contextlib.nullcontext()
-    with bootstraps as zhang_cis:
-        runs = [_run_replicate(cfg, r, live_pool, zhang_cis) for r in range(cfg.reps)]
+    with bootstraps as zhang:
+        runs = [_run_replicate(cfg, r, live_pool, zhang) for r in range(cfg.reps)]
     methods = {}
     for m in cfg.methods:
         columns = zip(*(outcomes[m] for outcomes, _ in runs))

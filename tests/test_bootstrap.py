@@ -11,7 +11,6 @@ from rankci.bootstrap import (
     RankCounts,
     _type3_index,
     make_bootstrap_draws,
-    quantile_type3,
     spiegelhalter_pointwise,
     zhang_simultaneous,
 )
@@ -27,6 +26,22 @@ def rank_rows(draws):
     positions = np.arange(1, draws.shape[1] + 1, dtype=np.int32)
     np.put_along_axis(ranks, np.argsort(draws, axis=1, kind="stable"), positions[None, :], axis=1)
     return ranks
+
+
+def quantile_type3(sorted_values, p):
+    """Nearest-order-statistic quantile of sorted values, at ``_type3_index``."""
+    return float(sorted_values[_type3_index(sorted_values.size, p) - 1])
+
+
+def rank_counts_of(ranks):
+    """The RankCounts of K x n 1-based ranks; center i at rank v is cell ``i * (n + 1) + v``.
+
+    The definition the draw is tested against: ``RankCounts.draw`` counts the
+    same cells straight from each replicate's sort order.
+    """
+    n = ranks.shape[1]
+    cells = ranks + np.arange(0, n * (n + 1), n + 1, dtype=np.int32)
+    return RankCounts._of_cells(cells, np.bincount(cells.ravel(), minlength=n * (n + 1)))
 
 
 def assert_same_counts(got, expected):
@@ -62,7 +77,7 @@ class TestIntervalBounds:
         rng = np.random.default_rng(k)
         ranks = rng.integers(1, 9, size=(k, 8), dtype=np.int32)
         sorted_ranks = np.sort(ranks.T, axis=1)
-        counts = RankCounts.of(ranks)
+        counts = rank_counts_of(ranks)
         for beta in (1e-12, 1e-4, 0.01, 0.05, 0.2, 0.5, 0.9, 1 - 1e-12):
             cis = counts.intervals(beta)
             assert [c.lower for c in cis] == [quantile_type3(row, beta / 2) for row in sorted_ranks]
@@ -152,7 +167,7 @@ class TestCountTableBisection:
         cfg = BootstrapConfig(n_boot=k, precision=precision, maxiter=maxiter)
         old_chunk, bootstrap._RANK_CHUNK_ROWS = bootstrap._RANK_CHUNK_ROWS, chunk_rows
         try:
-            counts = RankCounts.of(ranks)
+            counts = rank_counts_of(ranks)
         finally:
             bootstrap._RANK_CHUNK_ROWS = old_chunk
         # the table and both K-vectors, against their definitions
@@ -225,13 +240,13 @@ class TestChunkedRanks:
         s = CenterSample.from_observations(rng.normal(size=n), rng.uniform(0.5, 1.5, n))
         cfg = BootstrapConfig(n_boot=k, seed=k)
         assert_same_counts(RankCounts.draw(s, cfg),
-                           RankCounts.of(rank_rows(make_bootstrap_draws(s, cfg))))
+                           rank_counts_of(rank_rows(make_bootstrap_draws(s, cfg))))
 
     def test_default_chunk_size_with_a_partial_last_chunk(self):
         s = CenterSample.from_observations(NEAR_TIED, [1.0] * 10)
         cfg = BootstrapConfig(n_boot=bootstrap._RANK_CHUNK_ROWS * 2 + 3, seed=1)
         assert_same_counts(RankCounts.draw(s, cfg),
-                           RankCounts.of(rank_rows(make_bootstrap_draws(s, cfg))))
+                           rank_counts_of(rank_rows(make_bootstrap_draws(s, cfg))))
 
     @pytest.mark.filterwarnings("ignore:n_boot=.* is too small")
     @settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -246,7 +261,7 @@ class TestChunkedRanks:
         s = CenterSample.from_observations(rng.normal(size=n), rng.uniform(0.5, 1.5, n))
         cfg = BootstrapConfig(n_boot=k, seed=seed)
         draws = make_bootstrap_draws(s, cfg)
-        expected = RankCounts.of(rank_rows(draws))
+        expected = rank_counts_of(rank_rows(draws))
         old_chunk, bootstrap._RANK_CHUNK_ROWS = bootstrap._RANK_CHUNK_ROWS, chunk_rows
         try:
             assert_same_counts(RankCounts.draw(s, cfg), expected)
@@ -266,14 +281,14 @@ class TestChunkedRanks:
         draws = make_bootstrap_draws(s, cfg)
         assert (draws == s.y).all()
         counts = RankCounts.draw(s, cfg)
-        assert_same_counts(counts, RankCounts.of(rank_rows(draws)))
+        assert_same_counts(counts, rank_counts_of(rank_rows(draws)))
         # tied centers rank by their position in the sorted sample
         assert [(c.lower, c.upper) for c in counts.intervals(0.05)] == [(i, i) for i in
                                                                          range(1, n + 1)]
         # the same route ranks unsorted tied replicates by position too
         tied = np.tile(np.resize([0.5, 0.25, 0.75], n), (50, 1))
         assert spiegelhalter_pointwise(s, 0.5, tied) \
-            == list(RankCounts.of(rank_rows(tied)).intervals(0.5))
+            == list(rank_counts_of(rank_rows(tied)).intervals(0.5))
 
     def test_chunk_size_leaves_the_joint_result_unchanged(self, monkeypatch):
         s = CenterSample.from_observations(NEAR_TIED, [1.0] * 10)

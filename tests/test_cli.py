@@ -216,7 +216,12 @@ class TestCmdRank:
         ["rank", "--input", "unread.csv", "--out", "tsv"],
         ["simulate", "--scenario", "paper2", "--out", "json"],
         ["simulate", "--scenario", "paper2", "--out", "tsv"],
-    ], ids=["rank-json", "rank-tsv", "simulate-json", "simulate-tsv"])
+        # an --out-file that --out table would leave unwritten
+        ["rank", "--input", "unread.csv", "--out-file", "res.json"],
+        ["rank", "--input", "unread.csv", "--out", "table", "--out-file", "res.json"],
+        ["simulate", "--scenario", "paper2", "--out-file", "res.json"],
+    ], ids=["rank-json", "rank-tsv", "simulate-json", "simulate-tsv", "rank-out-file-alone",
+            "rank-out-file-with-table", "simulate-out-file-alone"])
     def test_missing_out_file_fails_before_any_work(self, argv, monkeypatch, capsys):
         def no_work(*args, **kwargs):
             raise AssertionError("the run started before --out-file was checked")
@@ -592,6 +597,7 @@ def golden_dir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     lines = [f"{ident},{est:.3f},{se:.2f}" for ident, est, se in GOLDEN_ROWS]
     (tmp_path / "centers12.csv").write_text("id,estimate,std_error\n" + "\n".join(lines) + "\n")
+    (tmp_path / "centers1.csv").write_text("id,estimate,std_error\n" + lines[0] + "\n")
     return tmp_path
 
 
@@ -611,6 +617,22 @@ class TestGoldenBytes:
         rc = main(GOLDEN_RANK_ARGS + ["--out", "json", "--out-file", "rank.json"])
         assert rc == 0
         assert _sha256((golden_dir / "rank.json").read_bytes()) == self.RANK_SHA256
+
+    @pytest.mark.parametrize("flags, expected", [
+        (["--method", "tukey"],
+         "b9502233b6163236867fe8bc4cb468c28547655ef114490ffe623e8bc094354e"),
+        (["--method", "seqtukey"],
+         "b613f82b57a686164a580994e53147df75cad419d21cf4c9c35b2b0c975ba4ec"),
+        (["--method", "zhang"],
+         "2fc62bfadd94d1614bb4cb37186d4c2a3bffd137b94ecf301460ad77ef208dbd"),
+        # one center: seqtukey takes no round, so Tukey's rejections are its own
+        (["--input", "centers1.csv"],
+         "d7eb1c1f8edf230350390b9cc4bbeea39eff99e8d9b09b249739b727c867caa0"),
+    ], ids=["tukey", "seqtukey", "zhang", "one-center-all"])
+    def test_rank_json_per_method_and_one_center(self, golden_dir, capsys, flags, expected):
+        rc = main(GOLDEN_RANK_ARGS + flags + ["--out", "json", "--out-file", "rank.json"])
+        assert rc == 0
+        assert _sha256((golden_dir / "rank.json").read_bytes()) == expected
 
     def test_rank_all_tsv_plot_data_and_table(self, golden_dir, capsys):
         rc = main(GOLDEN_RANK_ARGS + ["--out", "tsv", "--out-file", "rank.tsv",

@@ -8,6 +8,7 @@ import pytest
 
 from rankci import mcquantile, simharness
 from rankci.bootstrap import BootstrapConfig, zhang_simultaneous
+from rankci.cli import main
 from rankci.core import CenterSample
 from rankci.mcquantile import make_mc_pool
 from rankci.simharness import (
@@ -21,7 +22,9 @@ from rankci.simharness import (
     comparison_scenario,
     preset_scenario,
     run_coverage,
+    run_methods,
 )
+from rankci.tukey import tukey_rank_cis, tukey_rejected_pairs
 
 
 def quick_scenario(mu, *, sigma=None, reps=10, alpha=0.05, seed=0,
@@ -448,6 +451,69 @@ class TestPoolReuse:
     def test_shared_pool_records_equal_lone_replicates(self, monkeypatch, cfg):
         shared = self.records(monkeypatch, cfg)
         assert shared == [_run_replicate(cfg, r) for r in range(cfg.reps)]
+
+
+class TestRunMethods:
+    """The one runner of rank and simulate."""
+
+    LEVELS = (0.05, 0.5)
+
+    @pytest.mark.parametrize("methods", [("tukey",), ("tukey", "seqtukey")],
+                             ids=["tukey-alone", "with-seqtukey"])
+    @pytest.mark.parametrize("equal", [True, False], ids=["equal-sigmas", "unequal-sigmas"])
+    @pytest.mark.parametrize("n", [1, 2, 12])
+    def test_tukey_equals_the_single_step_route(self, n, equal, methods):
+        rng = np.random.default_rng(n)
+        sigma = np.ones(n) if equal else rng.uniform(0.5, 1.5, n)
+        sample = CenterSample.from_observations(
+            0.6 * np.arange(n) + 0.2 * rng.standard_normal(n), sigma)
+        pool, drawn = make_mc_pool(sample.sigma, 2_000, seed=n), []
+        runs = run_methods(sample, methods, self.LEVELS, lambda: drawn.append(pool) or pool, None)
+        assert len(drawn) == 1 and list(runs) == list(methods)
+        for (cis, rejected, detail), alpha in zip(runs["tukey"], self.LEVELS):
+            assert cis == tukey_rank_cis(sample, alpha, pool)
+            assert np.array_equal(rejected, tukey_rejected_pairs(sample, alpha, pool))
+            assert detail is None
+        if n == 12:
+            assert all(rejected.any() for _, rejected, _ in runs["tukey"])
+
+    def test_pool_only_for_the_pool_methods_and_the_bootstrap_last(self):
+        sample = CenterSample.from_observations([0.0, 0.4, 3.0], [1.0, 0.8, 1.2])
+        cfg, calls = BootstrapConfig(n_boot=300, seed=1), []
+
+        def pool():
+            calls.append("pool")
+            return make_mc_pool(sample.sigma, 2_000, seed=1)
+
+        def zhang():
+            calls.append("zhang")
+            return [zhang_simultaneous(sample, alpha, cfg) for alpha in self.LEVELS]
+
+        runs = run_methods(sample, ("zhang", "seqtukey", "tukey"), self.LEVELS, pool, zhang)
+        assert calls == ["pool", "zhang"] and list(runs) == ["zhang", "seqtukey", "tukey"]
+        calls.clear()
+        runs = run_methods(sample, ("zhang",), self.LEVELS, pool, zhang)
+        assert calls == ["zhang"]
+        assert runs["zhang"] == [(res.cis, None, res) for res in zhang()]
+
+    def test_rank_all_takes_tukey_from_seqtukey_round_one(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return tukey_rejected_pairs(*args)
+
+        # tukey_rank_cis calls the name in rankci.tukey
+        monkeypatch.setattr("rankci.tukey.tukey_rejected_pairs", counted)
+        monkeypatch.setattr("rankci.simharness.tukey_rejected_pairs", counted)
+        path = tmp_path / "centers.csv"
+        path.write_text("id,estimate,std_error\na,0.0,1.0\nb,3.0,0.8\nc,9.0,1.2\n")
+        argv = ["rank", "--input", str(path), "--mc-samples", "2000", "--boot-samples", "300"]
+        assert main(argv + ["--method", "all"]) == 0
+        assert calls == []
+        # the counter sees the single-step route when seqtukey does not run
+        assert main(argv + ["--method", "tukey"]) == 0
+        assert [args[1] for args in calls] == [0.05, 0.5]
 
 
 class TestRunComparison:
