@@ -8,9 +8,10 @@ plot data all render one output model built once from the result.
 Human-readable tables go to stdout, headed by the run's start time;
 machine-readable JSON/TSV goes to files and embeds the run manifest, which
 holds no time, so a rerun with the same flags and seed reproduces the bytes
-exactly.  An unwritable output path, a negative seed, or ``--out json|tsv``
-and ``--out-file`` given one without the other ends the run with one
-``error:`` line and exit status 2.
+exactly.  An unwritable output path, a negative seed, ``--mc-samples``
+below ``MC_SAMPLES_FLOOR`` or ``--boot-samples`` below 1 (whatever the
+methods), or ``--out json|tsv`` and ``--out-file`` given one without the
+other ends the run with one ``error:`` line and exit status 2.
 """
 
 import argparse
@@ -26,7 +27,7 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig, RankCounts, zhang_simultaneous
 from .core import KNOWN_METHODS, CenterSample
-from .mcquantile import DEFAULT_MC_SAMPLES, _in_background, make_mc_pool
+from .mcquantile import DEFAULT_MC_SAMPLES, MC_SAMPLES_FLOOR, _in_background, make_mc_pool
 from .rankability import rankability_estimate
 from .seqtukey import sequential_tukey  # noqa: F401  (uncalled; perfbench/tracer.py patches it)
 from .simharness import (
@@ -79,7 +80,8 @@ def ingest_estimates(path: str) -> CenterSample:
     :class:`IngestError` naming the path for a file that cannot be read or
     decoded as UTF-8 and for a required column missing from the header or
     named twice, and naming the offending data row for non-numeric cells,
-    non-positive standard errors and duplicate ids.
+    non-positive standard errors, duplicate ids and a non-empty cell past
+    the header's columns.
     """
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
@@ -107,8 +109,9 @@ def ingest_estimates(path: str) -> CenterSample:
 
     ids, estimates, errors, seen = [], [], [], set()
     for row_no, cells in enumerate(rows, start=1):
-        if len(cells) < len(header):
-            raise IngestError(f"{path}: row {row_no}: expected {len(header)} columns")
+        if len(cells) < len(header) or any(cells[len(header):]):
+            raise IngestError(f"{path}: row {row_no}: expected {len(header)} columns, "
+                              f"got {len(cells)}")
         ident = cells[positions["id"]]
         try:
             est = float(cells[positions["estimate"]])
@@ -404,6 +407,10 @@ def main(argv=None) -> int:
         # checked before any work, so a missing or unused path costs no run
         if (args.out != "table") != bool(args.out_file):
             raise IngestError("--out json/tsv and --out-file must be given together")
+        if args.mc_samples < MC_SAMPLES_FLOOR:
+            raise IngestError(f"--mc-samples must be at least {MC_SAMPLES_FLOOR}")
+        if args.boot_samples < 1:
+            raise IngestError("--boot-samples must be at least 1")
         return args.func(args)
     except (IngestError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

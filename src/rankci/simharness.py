@@ -11,21 +11,17 @@ from the same seed, when a replicate's sorted sigmas differ from the live
 pool's.  A replicate's pool depends on the scenario and its sorted sigmas
 only, so reports do not depend on execution order.
 
-The bootstrap never reads the pool.  A run with zhang starts one helper
-thread that draws replicates' samples again and bootstraps them, in
-replicate order, while the calling thread runs the pool methods replicate
-after replicate and takes each replicate's bootstrap intervals as it scores
-it.  Where it would wait for a bootstrap in progress, the calling thread
-runs the next unclaimed bootstrap itself, so each replicate is bootstrapped
-once, by one of the two threads.  No bootstrap starts more than eight
-replicates past those taken, none starts once one has raised or the calling
-side has, and a bootstrap's error is re-raised once, in the calling thread.
-
 Coverage is thus estimated conditionally on one pool.  The exceedance
 probability of the pool's empirical quantile has standard deviation about
 sqrt(alpha (1 - alpha) / N), about 0.0007 at alpha = 0.05 and N = 1e5, far
 below the binomial noise of a coverage rate over 100 replicates (about
 0.022).
+
+The bootstrap never reads the pool.  With zhang, one helper thread and the
+calling thread, once its pool work is done, claim replicates in order from
+one shared iterator; the claiming thread draws the replicate's sample again,
+bootstraps and scores it, so each replicate is bootstrapped once.  An error
+is raised once, in the calling thread.
 
 ``rank`` and ``simulate`` run their methods through :func:`run_methods`.
 When seqtukey runs, Tukey's rejections are those of its round one, which
@@ -38,7 +34,6 @@ coincides with the normative one when the configured centers are distinct
 and listed in ascending order.
 """
 
-import contextlib
 import dataclasses
 import threading
 from dataclasses import dataclass
@@ -46,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, ZhangResult, _check_bootstraps_fit, zhang_simultaneous
+from .bootstrap import BootstrapConfig, _check_bootstraps_fit, zhang_simultaneous
 from .core import (
     KNOWN_METHODS,
     CenterSample,
@@ -57,6 +52,7 @@ from .core import (
 )
 from .mcquantile import (
     DEFAULT_MC_SAMPLES,
+    MC_SAMPLES_FLOOR,
     McPool,
     _in_background,
     make_mc_pool,
@@ -127,6 +123,8 @@ class ScenarioConfig:
             raise ValueError("reps must be at least 1")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
+        if self.mc_samples < MC_SAMPLES_FLOOR:
+            raise ValueError(f"mc_samples must be at least {MC_SAMPLES_FLOOR}")
         methods = tuple(dict.fromkeys(self.methods))
         unknown = [m for m in methods if m not in KNOWN_METHODS]
         if unknown or not methods:
@@ -314,122 +312,88 @@ def _replicate_sample(cfg: ScenarioConfig, r: int) -> CenterSample:
     return CenterSample.from_observations(mu + sigma * data_rng.standard_normal(cfg.n), sigma)
 
 
-def _bootstrap_cis(cfg: ScenarioConfig, r: int) -> ZhangResult:
-    """Replicate r's zhang result: its sample, bootstrapped from ``(cfg.seed, r, _TAG_BOOT)``."""
-    bcfg = dataclasses.replace(cfg.boot, seed=_child_seed(cfg.seed, r, _TAG_BOOT))
-    return zhang_simultaneous(_replicate_sample(cfg, r), cfg.alpha, bcfg)
+def _score(set_ranks, sample: CenterSample, cis, false_rejection) -> _Outcome:
+    """``cis`` of one method on a replicate's ``sample``, scored against the true ``set_ranks``."""
+    intervals = list(zip(cis.intervals, sample.order.tolist()))
+    return _Outcome(
+        covered_set_rank=all(ci.contains_set_rank(set_ranks[k]) for ci, k in intervals),
+        covered_index=all(ci.contains_rank(k + 1) for ci, k in intervals),
+        mean_width=float(cis.widths().mean()),
+        rankability=rankability_estimate(cis).value if sample.n >= 2 else np.nan,
+        false_rejection=false_rejection,
+    )
 
 
-#: Replicates whose bootstraps may start ahead of those taken.  Replicate 0
-#: also draws the pool: at N = 1e5, n = 10 that takes about as long as five
-#: or six bootstraps, which the helper thread runs meanwhile.
-_BOOTSTRAP_LEAD = 8
-
-
-@contextlib.contextmanager
-def _bootstraps_ahead(cfg: ScenarioConfig):
-    """Share every replicate's bootstrap between one helper thread and the calling thread.
-
-    Yields ``take(r)``, which returns replicate r's zhang result; replicates are
-    taken in order.  Both threads claim bootstraps in replicate order, from
-    one counter, each no more than ``_BOOTSTRAP_LEAD`` replicates past those
-    taken, so each replicate is bootstrapped exactly once: the helper runs
-    ahead of the pool work, and ``take(r)``, rather than wait for a
-    bootstrap in progress, runs the next unclaimed one itself.  Two
-    bootstraps can thus be in memory at once, and both are checked to fit
-    before the helper starts.  Once a bootstrap raises, neither thread
-    starts another; the error of the first failing replicate is re-raised
-    by its ``take``, once.  On leaving the block the helper finishes the
-    bootstrap in progress and is joined.
-    """
-    _check_bootstraps_fit(cfg.n, cfg.boot.n_boot, copies=min(cfg.reps, 2))
-    ready = threading.Condition()
-    done = {}  # replicate -> (result, error); an error stays, so no bootstrap starts after it
-    state = {"claimed": 0, "taken": 0, "stop": False}
-
-    def work(until):
-        # claim and run bootstraps in replicate order until until(); wait while none may start
-        while True:
-            with ready:
-                ready.wait_for(lambda: until() or (
-                    not state["stop"] and all(error is None for _, error in done.values())
-                    and state["claimed"] < min(cfg.reps, state["taken"] + _BOOTSTRAP_LEAD)))
-                if until():
-                    return
-                r = state["claimed"]
-                state["claimed"] = r + 1
-            try:
-                outcome = _bootstrap_cis(cfg, r), None
-            except Exception as exc:  # re-raised by take(r)
-                outcome = None, exc
-            with ready:
-                done[r] = outcome
-                ready.notify_all()
-
-    def take(r):
-        work(lambda: r in done)
-        with ready:
-            result, error = done[r]
-            if error is None:
-                del done[r]
-                state["taken"] = r + 1
-                ready.notify_all()
-        if error is not None:
-            raise error
-        return result
-
-    with _in_background(lambda: work(lambda: state["stop"] or state["claimed"] == cfg.reps)):
-        try:
-            yield take
-        finally:
-            with ready:
-                state["stop"] = True
-                ready.notify_all()
-
-
-def _run_replicate(cfg: ScenarioConfig, r: int, live_pool=None, zhang=None):
-    """Draw replicate r's sample, run the requested methods and score each.
-
-    Returns ``({method: _Outcome}, nested)``, where ``nested`` is False only
-    when seqtukey's intervals are not nested in Tukey's.  The methods run
-    through :func:`run_methods` at ``cfg.alpha``.  The result depends on
-    ``(cfg, r)`` alone: the sample and the bootstrap seed from
-    ``(cfg.seed, r, tag)``, and the pool, taken from ``live_pool`` (a
-    ``_LivePool``; a fresh one when not given), depends on ``cfg`` and the
-    sample's sorted sigmas only; the pool's memo holds only what depends on
-    it alone, so earlier replicates leave it as they found it.  Coverage is
-    scored against the true set-ranks of ``cfg.mu``, computed here, O(n^2)
-    and small beside the methods.  The bootstrap never reads the pool: its
-    result comes from ``zhang(r)`` when given (``run_coverage`` passes the
-    ``take`` of :func:`_bootstraps_ahead`, whose helper thread computes most
-    of them ahead), and is otherwise computed here, after the pool work, in
-    the calling thread.
-    """
-    mu = np.asarray(cfg.mu)
-    set_ranks = true_set_ranks(mu)
-    if live_pool is None:
-        live_pool = _LivePool(cfg)
+def _bootstrap_outcome(cfg: ScenarioConfig, r: int) -> _Outcome:
+    """Replicate r's zhang outcome: its sample, bootstrapped from ``(cfg.seed, r, _TAG_BOOT)``."""
     sample = _replicate_sample(cfg, r)
-    runs = run_methods(sample, cfg.methods, (cfg.alpha,),
-                       lambda: live_pool.for_sigma(sample.sigma),
-                       lambda: (zhang(r) if zhang is not None else _bootstrap_cis(cfg, r),))
+    bcfg = dataclasses.replace(cfg.boot, seed=_child_seed(cfg.seed, r, _TAG_BOOT))
+    return _score(true_set_ranks(cfg.mu), sample,
+                  zhang_simultaneous(sample, cfg.alpha, bcfg).cis, None)
 
+
+def _pool_outcomes(cfg: ScenarioConfig, r: int, live_pool: _LivePool):
+    """Replicate r's methods but zhang, on ``live_pool``, scored as :func:`_run_replicate` says."""
+    sample = _replicate_sample(cfg, r)
+    runs = run_methods(sample, [m for m in cfg.methods if m != "zhang"], (cfg.alpha,),
+                       lambda: live_pool.for_sigma(sample.sigma), None)
     # a rejected pair (i, j) claims mu_i > mu_j; it is a false rejection
     # when the one-sided hypothesis mu_i <= mu_j was true
-    true_mask, _ = truth_partition(mu[sample.order])
-    outcomes = {}
-    for m, [(cis, rejected, _)] in runs.items():
-        intervals = list(zip(cis.intervals, sample.order.tolist()))
-        outcomes[m] = _Outcome(
-            covered_set_rank=all(ci.contains_set_rank(set_ranks[k]) for ci, k in intervals),
-            covered_index=all(ci.contains_rank(k + 1) for ci, k in intervals),
-            mean_width=float(cis.widths().mean()),
-            rankability=rankability_estimate(cis).value if cfg.n >= 2 else np.nan,
-            false_rejection=(None if m == "zhang"
-                             else rejected is not None and bool(np.any(rejected & true_mask))),
-        )
+    true_mask, _ = truth_partition(np.asarray(cfg.mu)[sample.order])
+    set_ranks = true_set_ranks(cfg.mu)
+    outcomes = {m: _score(set_ranks, sample, cis,
+                          rejected is not None and bool(np.any(rejected & true_mask)))
+                for m, [(cis, rejected, _)] in runs.items()}
     both_tested = "tukey" in runs and "seqtukey" in runs
     return outcomes, not both_tested or runs["seqtukey"][0][0].is_nested_in(runs["tukey"][0][0])
+
+
+def _run_replicate(cfg: ScenarioConfig, r: int, live_pool=None):
+    """Replicate r alone, bootstrapped last in this thread: what ``run_coverage`` reports for r.
+
+    Returns ``({method: _Outcome}, nested)``; ``nested`` is False if seqtukey's CIs leave Tukey's.
+    """
+    outcomes, nested = _pool_outcomes(cfg, r, live_pool or _LivePool(cfg))
+    if "zhang" in cfg.methods:
+        outcomes["zhang"] = _bootstrap_outcome(cfg, r)
+    return {m: outcomes[m] for m in cfg.methods}, nested
+
+
+def _beside_bootstraps(cfg: ScenarioConfig, pool_runs):
+    """The list of ``pool_runs``, each with its zhang outcome, scored beside the pool work.
+
+    One helper thread and, once ``pool_runs`` is consumed, the calling thread
+    claim replicates in order from one iterator, one bootstrap at a time
+    each, and none once either side has raised.  After the join, the lowest
+    failing replicate's error is raised: claims in order fix which it is.
+    """
+    _check_bootstraps_fit(cfg.n, cfg.boot.n_boot, copies=min(cfg.reps, 2))
+    claims, lock, stop = iter(range(cfg.reps)), threading.Lock(), threading.Event()
+    zhang, errors = [None] * cfg.reps, {}  # errors: replicate -> what its bootstrap raised
+
+    def claim_rest():
+        while True:
+            with lock:
+                r = None if errors or stop.is_set() else next(claims, None)
+            if r is None:
+                return
+            try:
+                zhang[r] = _bootstrap_outcome(cfg, r)
+            except Exception as exc:
+                with lock:
+                    errors[r] = exc
+
+    with _in_background(claim_rest):
+        try:
+            runs = list(pool_runs)
+            claim_rest()
+        finally:
+            stop.set()
+    if errors:
+        raise errors[min(errors)]
+    for (outcomes, _), outcome in zip(runs, zhang):
+        outcomes["zhang"] = outcome
+    return runs
 
 
 def run_coverage(cfg: ScenarioConfig) -> CoverageReport:
@@ -439,17 +403,13 @@ def run_coverage(cfg: ScenarioConfig) -> CoverageReport:
     subset of its interval.  For tukey/seqtukey the report also tracks the
     rate of replicates with at least one falsely rejected pair, and when
     both run, counts seqtukey intervals not nested in Tukey's (exactly zero
-    by construction).  Replicates run one at a time, in order, and share one
-    live pool (see ``_LivePool``), so with equal sigmas the pool is drawn
-    and its full-range and negative-pair row maxima computed once per call.
-    With zhang, one helper thread runs the replicates' bootstraps, in
-    order, ahead of the pool work, and the calling thread runs the next
-    ones itself where it would wait (see :func:`_bootstraps_ahead`).
+    by construction).  Replicates share one live pool (see ``_LivePool``),
+    so with equal sigmas the pool and its memo are made once per call; the
+    bootstraps run beside the pool work (see :func:`_beside_bootstraps`).
     """
     live_pool = _LivePool(cfg)
-    bootstraps = _bootstraps_ahead(cfg) if "zhang" in cfg.methods else contextlib.nullcontext()
-    with bootstraps as zhang:
-        runs = [_run_replicate(cfg, r, live_pool, zhang) for r in range(cfg.reps)]
+    runs = (_pool_outcomes(cfg, r, live_pool) for r in range(cfg.reps))
+    runs = _beside_bootstraps(cfg, runs) if "zhang" in cfg.methods else list(runs)
     methods = {}
     for m in cfg.methods:
         columns = zip(*(outcomes[m] for outcomes, _ in runs))

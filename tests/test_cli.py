@@ -118,6 +118,22 @@ class TestIngest:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'estimate'" in err and err.count("\n") == 1
 
+    def test_cell_past_the_header_refused(self, tmp_path, capsys):
+        # an unquoted comma splits an id; its second half must not be dropped unseen
+        path = tmp_path / "split.csv"
+        path.write_text("estimate,std_error,id\n1.0,0.5,x, inc\n2.0,0.5,y\n")
+        with pytest.raises(IngestError, match="row 1: expected 3 columns, got 4"):
+            ingest_estimates(str(path))
+        assert main(["rank", "--input", str(path), "--mc-samples", "2000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: row 1: expected 3 columns, got 4\n"
+
+    def test_trailing_empty_cells_accepted(self, tmp_path):
+        path = tmp_path / "trailing.csv"
+        path.write_text("estimate,std_error,id\n1.0,0.5,x,\n2.0,0.5,y, ,\n")
+        assert ingest_estimates(str(path)).ids == ("x", "y")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError):
             ingest_estimates(str(tmp_path / "nope.csv"))
@@ -269,6 +285,52 @@ class TestCmdRank:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:") and "--mc-samples" in err[0]
+
+
+class TestCountFlags:
+    """--mc-samples and --boot-samples are checked before any work, whatever the methods."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["rank", "--method", "tukey", "--boot-samples", "0"], "--boot-samples must be at least 1"),
+        (["rank", "--method", "zhang", "--mc-samples", "3"], "--mc-samples must be at least 1000"),
+        (["rank", "--method", "tukey", "--mc-samples", "3"], "--mc-samples must be at least 1000"),
+        (["simulate", "--scenario", "paper4", "--methods", "zhang", "--mc-samples", "999"],
+         "--mc-samples must be at least 1000"),
+        (["simulate", "--scenario", "paper4", "--methods", "tukey", "--boot-samples", "0"],
+         "--boot-samples must be at least 1"),
+    ], ids=["rank-tukey-boot", "rank-zhang-mc", "rank-tukey-mc", "simulate-zhang-mc",
+            "simulate-tukey-boot"])
+    def test_refused_in_one_line(self, estimates_file, argv, message, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started before the count flags were checked")
+
+        monkeypatch.setattr("rankci.cli.ingest_estimates", no_work)
+        monkeypatch.setattr("rankci.cli._run_methods", no_work)
+        monkeypatch.setattr("rankci.cli.run_coverage", no_work)
+        if argv[0] == "rank":
+            argv = argv + ["--input", estimates_file]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"mc_samples": 3, "methods": ["zhang"]}, "mc_samples must be at least 1000"),
+        ({"n_boot": 0, "methods": ["tukey"]}, "n_boot must be at least 1"),
+    ], ids=["mc_samples", "n_boot"])
+    def test_scenario_file_counts_refused(self, tmp_path, spec, message, monkeypatch, capsys):
+        monkeypatch.setattr("rankci.cli.run_coverage", None)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"mu": [1, 2, 3], **spec}))
+        assert main(["simulate", "--scenario", f"file:{path}"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_floor_values_run(self, estimates_file, tmp_path):
+        out_file = tmp_path / "res.json"
+        assert main(["rank", "--input", estimates_file, "--method", "zhang",
+                     "--mc-samples", "1000", "--boot-samples", "1",
+                     "--out", "json", "--out-file", str(out_file)]) == 0
+        manifest = json.loads(out_file.read_text())["manifest"]
+        assert (manifest["mc_samples"], manifest["boot_samples"]) == (1000, 1)
 
 
 class TestUnresolvedLevel:

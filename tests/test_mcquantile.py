@@ -228,6 +228,22 @@ class TestExactEqualSigmaOracle:
             k = math.ceil((1 - alpha) * n_samples)
             assert abs(rank - k) <= 4 * math.sqrt(n_samples * alpha * (1 - alpha))
 
+    @pytest.mark.parametrize("alpha", [0.01, 0.05])
+    def test_binomial_band_covers_at_its_level_across_seeds(self, alpha):
+        # the 1.96-sd band around k holds the exact quantile's rank on about
+        # 95% of seeds; the count of seeds where it does is then about
+        # Binomial(200, 0.95), and must lie inside that law's central 1 - 1e-4
+        n, n_samples, seeds = 10, 1_000, 200
+        exact = exact_range_quantile(n, alpha)
+        k = math.ceil((1 - alpha) * n_samples)
+        half_width = 1.96 * math.sqrt(n_samples * alpha * (1 - alpha))
+        covered = sum(
+            abs(np.count_nonzero(full_row_maxima(make_mc_pool(np.ones(n), n_samples, seed=seed))
+                                 <= exact) - k) <= half_width
+            for seed in range(seeds))
+        pmf = [math.comb(seeds, c) * 0.95 ** c * 0.05 ** (seeds - c) for c in range(seeds + 1)]
+        assert sum(pmf[:covered + 1]) >= 0.5e-4 and sum(pmf[covered:]) >= 0.5e-4
+
 
 class TestRestrictedMaxQuantile:
     def test_full_set_equals_studentized_range(self):

@@ -12,12 +12,12 @@ from rankci.cli import main
 from rankci.core import CenterSample
 from rankci.mcquantile import make_mc_pool
 from rankci.simharness import (
-    _BOOTSTRAP_LEAD,
     _TAG_DATA,
     _TAG_POOL,
     PRESET_CENTERS,
     ScenarioConfig,
     _child_seed,
+    _Outcome,
     _run_replicate,
     comparison_scenario,
     preset_scenario,
@@ -205,17 +205,17 @@ class TestBootstrapThread:
         list holds the replicate index of each bootstrap that returned.
         """
         calls, hooks, done = [], [], []
-        bootstrap_cis = simharness._bootstrap_cis
+        bootstrap_outcome = simharness._bootstrap_outcome
 
         def recorded(cfg, r):
             calls.append((threading.current_thread(), mcquantile._live_helpers, r))
             for hook in hooks:
                 hook(r)
-            cis = bootstrap_cis(cfg, r)
+            outcome = bootstrap_outcome(cfg, r)
             done.append(r)
-            return cis
+            return outcome
 
-        monkeypatch.setattr(simharness, "_bootstrap_cis", recorded)
+        monkeypatch.setattr(simharness, "_bootstrap_outcome", recorded)
         return calls, hooks, done
 
     @pytest.fixture
@@ -229,18 +229,6 @@ class TestBootstrapThread:
 
         monkeypatch.setattr(threading.Thread, "start", counted)
         return started
-
-    @staticmethod
-    def replicates(monkeypatch):
-        """Indices of the replicates run_coverage enters, in order."""
-        entered = []
-
-        def recorded(cfg, r, *args):
-            entered.append(r)
-            return _run_replicate(cfg, r, *args)
-
-        monkeypatch.setattr("rankci.simharness._run_replicate", recorded)
-        return entered
 
     def test_one_helper_thread_per_run(self, bootstraps, started):
         calls, _, _ = bootstraps
@@ -267,7 +255,7 @@ class TestBootstrapThread:
 
         def hold_the_helper(r):
             # the helper's first bootstrap lasts until the calling thread,
-            # waiting on it in take, has run three of its own
+            # its pool work done, has claimed and run three of the rest
             if threading.current_thread() is not main and not held:
                 held.append(r)
                 deadline = time.monotonic() + 5
@@ -310,45 +298,28 @@ class TestBootstrapThread:
         assert len(calls) <= 2
         assert threading.active_count() == threads_before
 
-    def test_helper_runs_a_bounded_lead_ahead(self, monkeypatch, bootstraps):
-        calls, _, _ = bootstraps
-
-        def slow(*args, **kwargs):
-            # the main side stalls in replicate 0 long after the lead is run
-            deadline = time.monotonic() + 5
-            while len(calls) < _BOOTSTRAP_LEAD and time.monotonic() < deadline:
-                time.sleep(0.005)
-            time.sleep(0.05)
-            raise RuntimeError("seqtukey stalled")
-
-        monkeypatch.setattr("rankci.simharness.sequential_tukey", slow)
-        with pytest.raises(RuntimeError, match="seqtukey stalled"):
-            run_coverage(quick_scenario([0.0, 1.0, 2.0], reps=50))
-        assert len(calls) == _BOOTSTRAP_LEAD < 50
-
-    def test_later_bootstrap_error_reraises_once(self, monkeypatch, bootstraps):
+    def test_later_bootstrap_error_reraises_once(self, bootstraps):
         calls, hooks, done = bootstraps
-        fourth_started = threading.Event()
+        fourth_raised = threading.Event()
         in_flight = []
 
         def broken(r):
             if r == 4:
-                # replicate 4 runs on the other thread while replicate 3 raises
-                fourth_started.set()
-                time.sleep(0.2)
+                # replicate 4 runs on the other thread, and raises first
+                fourth_raised.set()
+                raise RuntimeError("bootstrap broke at replicate 4")
             if r == 3:
-                assert fourth_started.wait(5)
+                assert fourth_raised.wait(5)
                 in_flight.extend((thread, r) for thread, _, r in calls if r not in done)
+                time.sleep(0.05)
                 raise RuntimeError("bootstrap broke at replicate 3")
 
         hooks.append(broken)
-        entered = self.replicates(monkeypatch)
         threads_before = threading.active_count()
         with pytest.raises(RuntimeError, match="replicate 3") as raised:
             run_coverage(quick_scenario([0.0, 1.0, 2.0], reps=6))
-        # replicates 0-2 are scored, replicate 3 raises; one bootstrap per
-        # thread was in flight when it did, and none started after it
-        assert entered == [0, 1, 2, 3]
+        # the lowest failing replicate's error is raised, whichever raised
+        # first; one bootstrap per thread was in flight, none started after
         assert sorted(r for _, r in in_flight) == [3, 4]
         assert len({thread for thread, _ in in_flight}) == 2
         assert sorted(r for _, _, r in calls) == [0, 1, 2, 3, 4]
@@ -402,19 +373,6 @@ class TestPoolReuse:
         return drawn
 
     @staticmethod
-    def records(monkeypatch, cfg):
-        """The per-replicate records run_coverage builds its report from."""
-        runs = []
-
-        def recorded(*args):
-            runs.append(_run_replicate(*args))
-            return runs[-1]
-
-        monkeypatch.setattr("rankci.simharness._run_replicate", recorded)
-        run_coverage(cfg)
-        return runs
-
-    @staticmethod
     def sorted_sigmas(cfg):
         """Each replicate's sigmas in the order of its sorted sample."""
         mu, sigma = np.asarray(cfg.mu), np.asarray(cfg.sigma)
@@ -448,9 +406,15 @@ class TestPoolReuse:
         preset_scenario("paper3", reps=6, mc_samples=2_000, n_boot=500),
         comparison_scenario(6, reps=8, mc_samples=2_000),
     ], ids=["equal-sigmas", "unequal-sigmas"])
-    def test_shared_pool_records_equal_lone_replicates(self, monkeypatch, cfg):
-        shared = self.records(monkeypatch, cfg)
-        assert shared == [_run_replicate(cfg, r) for r in range(cfg.reps)]
+    def test_shared_pool_records_equal_lone_replicates(self, cfg):
+        report = run_coverage(cfg)
+        lone = [_run_replicate(cfg, r) for r in range(cfg.reps)]
+        for m, stats in report.methods.items():
+            columns = zip(*(outcomes[m] for outcomes, _ in lone))
+            for field, column in zip(_Outcome._fields, columns):
+                values = getattr(stats, field)
+                assert values.tolist() == list(column) if column[0] is not None else values is None
+        assert report.nestedness_violations == sum(not nested for _, nested in lone)
 
 
 class TestRunMethods:
