@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CenterSample, RankInterval, SimultaneousRankCIs
+from .core import CenterSample, RankInterval, SimultaneousRankCIs, _whole_number
 from .mcquantile import _check_fits_memory
 
 __all__ = ["BootstrapConfig", "RankCounts", "ZhangResult", "make_bootstrap_draws",
@@ -37,7 +37,7 @@ _RANK_CHUNK_ROWS = 4096
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Knobs for the bootstrap baseline."""
+    """Knobs for the bootstrap baseline; its counts are whole numbers, as in a scenario file."""
 
     n_boot: int = 10_000
     precision: float = 1e-6
@@ -45,6 +45,8 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("n_boot", "maxiter", "seed"):
+            object.__setattr__(self, key, _whole_number(getattr(self, key), key))
         if self.n_boot < 1:
             raise ValueError("n_boot must be at least 1")
         if self.precision <= 0:

@@ -1,7 +1,14 @@
 """Batch front door: ingest estimate files, run estimators, emit results.
 
 Input files are delimited text (comma or tab, autodetected) with header
-columns ``id``, ``estimate``, ``std_error``; extra columns are ignored.
+columns ``id``, ``estimate``, ``std_error``; extra columns are ignored, and a
+header that looks semicolon-delimited is refused as such.  Each rule on a
+value has one owner outside this module: every std_error must lie in
+:mod:`rankci.core`'s ``[SIGMA_MIN, SIGMA_MAX]``, where sigma^2 and a sum of
+two are normal floats, and a scenario file's keys go straight to
+:class:`~rankci.simharness.ScenarioConfig` and
+:class:`~rankci.bootstrap.BootstrapConfig`, which refuse what the file may not
+hold.  Their errors reach the user naming the row or the scenario file.
 ``rank`` runs its methods at alpha and 0.5 through the runner ``simulate``
 uses too (:func:`rankci.simharness.run_methods`); its table, JSON, TSV and
 plot data all render one output model built once from the result.
@@ -26,7 +33,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .bootstrap import BootstrapConfig, RankCounts, zhang_simultaneous
-from .core import KNOWN_METHODS, CenterSample
+from .core import KNOWN_METHODS, CenterSample, _as_float_vector, _as_sigma_vector
 from .mcquantile import DEFAULT_MC_SAMPLES, MC_SAMPLES_FLOOR, _in_background, make_mc_pool
 from .rankability import rankability_estimate
 from .seqtukey import sequential_tukey  # noqa: F401  (uncalled; perfbench/tracer.py patches it)
@@ -79,9 +86,10 @@ def ingest_estimates(path: str) -> CenterSample:
     Cells follow CSV quoting, so a quoted id may hold the delimiter.  Raises
     :class:`IngestError` naming the path for a file that cannot be read or
     decoded as UTF-8 and for a required column missing from the header or
-    named twice, and naming the offending data row for non-numeric cells,
-    non-positive standard errors, duplicate ids and a non-empty cell past
-    the header's columns.
+    named twice or a header that looks semicolon-delimited, and naming the
+    offending data row for a non-numeric or non-finite cell, a standard
+    error outside :mod:`rankci.core`'s ``[SIGMA_MIN, SIGMA_MAX]``, a
+    duplicate id and a non-empty cell past the header's columns.
     """
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
@@ -99,6 +107,8 @@ def ingest_estimates(path: str) -> CenterSample:
     if not rows:
         raise IngestError(f"{path}: file is empty")
     header, *rows = rows
+    if len(header) == 1 and ";" in header[0]:
+        raise IngestError(f"{path}: the header looks semicolon-delimited; use comma or tab")
     positions = {}
     for col in _REQUIRED_COLUMNS:
         if col not in header:
@@ -107,30 +117,25 @@ def ingest_estimates(path: str) -> CenterSample:
             raise IngestError(f"{path}: column {col!r} is named more than once in the header")
         positions[col] = header.index(col)
 
-    ids, estimates, errors, seen = [], [], [], set()
+    table = {}  # id -> (estimate, std_error), in row order
     for row_no, cells in enumerate(rows, start=1):
         if len(cells) < len(header) or any(cells[len(header):]):
             raise IngestError(f"{path}: row {row_no}: expected {len(header)} columns, "
                               f"got {len(cells)}")
         ident = cells[positions["id"]]
         try:
-            est = float(cells[positions["estimate"]])
-            se = float(cells[positions["std_error"]])
-        except ValueError:
-            raise IngestError(f"{path}: row {row_no}: non-numeric cell") from None
-        if not np.isfinite(est) or not np.isfinite(se):
-            raise IngestError(f"{path}: row {row_no}: non-finite value")
-        if se <= 0:
-            raise IngestError(f"{path}: row {row_no}: std_error must be positive")
-        if ident in seen:
+            est, se = float(cells[positions["estimate"]]), float(cells[positions["std_error"]])
+            _as_float_vector([est], "estimate")
+            _as_sigma_vector([se], "std_error")
+        except ValueError as exc:
+            raise IngestError(f"{path}: row {row_no}: {exc}") from None
+        if ident in table:
             raise IngestError(f"{path}: row {row_no}: duplicate id {ident!r}")
-        seen.add(ident)
-        ids.append(ident)
-        estimates.append(est)
-        errors.append(se)
-    if not ids:
+        table[ident] = (est, se)
+    if not table:
         raise IngestError(f"{path}: no data rows")
-    return CenterSample.from_observations(estimates, errors, ids=ids)
+    estimates, errors = zip(*table.values())
+    return CenterSample.from_observations(estimates, errors, ids=list(table))
 
 
 def _run_methods(sample: CenterSample, methods, alpha, mc_samples, boot_samples, seed):
@@ -278,74 +283,29 @@ def cmd_rank(args) -> int:
     return 0
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_number_list(value) -> bool:
-    return isinstance(value, list) and all(_is_number(v) for v in value)
-
-
-def _whole_number(spec: dict, key: str, default: int, path: str) -> int:
-    """``spec[key]``, or ``default`` when absent, as an int; bools and fractions are refused."""
-    value = spec.get(key, default)
-    if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
-        raise IngestError(f"scenario file {path}: {key!r} must be a whole number, "
-                          f"got {json.dumps(value)}")
-    return int(value)
-
-
 def _load_scenario(args) -> ScenarioConfig:
+    """The preset, or the scenario file's keys over the flags; a file's errors name it."""
     methods = KNOWN_METHODS if args.methods is None else tuple(args.methods.split(","))
+    counts = {"reps": args.reps, "seed": args.seed, "mc_samples": args.mc_samples}
     if args.scenario in PRESET_CENTERS:
-        return preset_scenario(
-            args.scenario, reps=args.reps, alpha=args.alpha, seed=args.seed,
-            methods=methods, mc_samples=args.mc_samples, n_boot=args.boot_samples,
-        )
-    if args.scenario.startswith("file:"):
-        path = args.scenario[len("file:"):]
-        try:
-            with open(path, encoding="utf-8") as fh:
-                spec = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise IngestError(f"cannot load scenario file {path}: {exc}") from exc
-        if not isinstance(spec, dict) or "mu" not in spec:
-            raise IngestError(f"scenario file {path} must be a JSON object defining 'mu'")
-        mu, sigma = spec["mu"], spec.get("sigma", 1.0)
-        if not _is_number_list(mu):
-            raise IngestError(f"scenario file {path}: 'mu' must be a list of numbers")
-        if _is_number(sigma):
-            sigma = [sigma] * len(mu)
-        elif not _is_number_list(sigma):
-            raise IngestError(f"scenario file {path}: 'sigma' must be a number or a list of numbers")
-        alpha = spec.get("alpha", args.alpha)
-        if not _is_number(alpha):
-            raise IngestError(f"scenario file {path}: 'alpha' must be a number")
-        methods = spec.get("methods", list(methods))
-        if not (isinstance(methods, list) and all(isinstance(m, str) for m in methods)):
-            raise IngestError(f"scenario file {path}: 'methods' must be a list of method names")
-        name = spec.get("name", path)
-        if not isinstance(name, str):
-            raise IngestError(f"scenario file {path}: 'name' must be a string, "
-                              f"got {json.dumps(name)}")
-        counts = {key: _whole_number(spec, key, default, path) for key, default in (
-            ("reps", args.reps), ("seed", args.seed),
-            ("mc_samples", args.mc_samples), ("n_boot", args.boot_samples))}
+        return preset_scenario(args.scenario, alpha=args.alpha, methods=methods,
+                               n_boot=args.boot_samples, **counts)
+    if not args.scenario.startswith("file:"):
+        raise IngestError(f"unknown scenario {args.scenario!r}; use one of "
+                          f"{sorted(PRESET_CENTERS)} or file:<path>")
+    path = args.scenario[len("file:"):]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            spec = json.load(fh)
+        if not isinstance(spec, dict):
+            raise ValueError("must hold a JSON object defining 'mu'")
         return ScenarioConfig(
-            mu=tuple(float(v) for v in mu),
-            sigma=tuple(float(s) for s in sigma),
-            alpha=float(alpha),
-            reps=counts["reps"],
-            seed=counts["seed"],
-            methods=tuple(methods),
-            mc_samples=counts["mc_samples"],
-            boot=BootstrapConfig(n_boot=counts["n_boot"]),
-            name=name,
-        )
-    raise IngestError(
-        f"unknown scenario {args.scenario!r}; use one of "
-        f"{sorted(PRESET_CENTERS)} or file:<path>"
-    )
+            mu=spec.get("mu"), sigma=spec.get("sigma", 1.0), alpha=spec.get("alpha", args.alpha),
+            methods=spec.get("methods", methods), name=spec.get("name", path),
+            boot=BootstrapConfig(n_boot=spec.get("n_boot", args.boot_samples)),
+            **{key: spec.get(key, default) for key, default in counts.items()})
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise IngestError(f"scenario file {path}: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:

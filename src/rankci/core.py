@@ -13,6 +13,8 @@ pairs (i > j) can be rejected, so a rejection mask is strictly
 lower-triangular.
 """
 
+import json
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -37,13 +39,40 @@ SIMULTANEOUS_METHODS = ("tukey", "seqtukey")
 KNOWN_METHODS = ("tukey", "seqtukey", "zhang")
 
 
+#: The range of a standard error: sigma^2 is a normal float, and sigma_i^2 + sigma_j^2
+#: in the statistic |y_i - y_j| / sqrt(sigma_i^2 + sigma_j^2) is finite.
+SIGMA_MIN = float(np.nextafter(np.sqrt(np.finfo(float).tiny), np.inf))
+SIGMA_MAX = float(np.sqrt(np.finfo(float).max / 2))
+
+
 def _as_float_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must contain only finite values")
+        raise ValueError(f"{name} must be finite")
     return arr
+
+
+def _as_sigma_vector(values, name: str = "sigma") -> np.ndarray:
+    """``values`` as a float vector of standard errors, each in [SIGMA_MIN, SIGMA_MAX]."""
+    arr = _as_float_vector(values, name)
+    if not (arr.min() >= SIGMA_MIN and arr.max() <= SIGMA_MAX):
+        raise ValueError(f"{name} must lie in [{SIGMA_MIN:.5g}, {SIGMA_MAX:.5g}], "
+                         "so that its square and a sum of two squares are normal floats")
+    return arr
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _whole_number(value, key: str) -> int:
+    """``value`` as an int; ``2.0`` reads as 2, and bools, fractions and non-numbers are refused."""
+    if not (_is_real(value) and (isinstance(value, numbers.Integral)
+                                 or float(value).is_integer())):
+        raise ValueError(f"{key!r} must be a whole number, got {json.dumps(value, default=repr)}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -215,13 +244,11 @@ class CenterSample:
 
     def __post_init__(self):
         y = _as_float_vector(self.y, "y")
-        sigma = _as_float_vector(self.sigma, "sigma")
+        sigma = _as_sigma_vector(self.sigma)
         order = np.asarray(self.order, dtype=np.intp)
         ids = tuple(self.ids)
         if not (len(ids) == y.size == sigma.size == order.size):
             raise ValueError("ids, y, sigma and order must have equal length")
-        if np.any(sigma <= 0):
-            raise ValueError("every sigma must be strictly positive")
         if np.any(np.diff(y) < 0):
             raise ValueError("y must be sorted ascending")
         if sorted(order.tolist()) != list(range(y.size)):

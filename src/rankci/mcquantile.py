@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import _as_sigma_vector
+
 __all__ = [
     "McPool",
     "make_mc_pool",
@@ -130,14 +132,11 @@ def make_mc_pool(sigma, n_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0) -> M
     Raises
     ------
     ValueError
-        If ``n_samples`` is below ``MC_SAMPLES_FLOOR``, any sigma is not
-        positive, or the pool would not fit in physical memory.
+        If ``n_samples`` is below ``MC_SAMPLES_FLOOR``, any sigma lies
+        outside ``[SIGMA_MIN, SIGMA_MAX]`` (see :mod:`rankci.core`), or the
+        pool would not fit in physical memory.
     """
-    sigma = np.array(sigma, dtype=float)  # a copy: the pool freezes it
-    if sigma.ndim != 1 or sigma.size < 1:
-        raise ValueError("sigma must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(sigma)) or np.any(sigma <= 0):
-        raise ValueError("every sigma must be finite and strictly positive")
+    sigma = _as_sigma_vector(np.array(sigma, dtype=float))  # a copy: the pool freezes it
     n_samples = int(n_samples)
     if n_samples < MC_SAMPLES_FLOOR:
         raise ValueError(f"n_samples={n_samples} is below the floor of {MC_SAMPLES_FLOOR}")

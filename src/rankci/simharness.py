@@ -35,6 +35,7 @@ and listed in ascending order.
 """
 
 import dataclasses
+import json
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -46,6 +47,10 @@ from .core import (
     KNOWN_METHODS,
     CenterSample,
     SimultaneousRankCIs,
+    _as_float_vector,
+    _as_sigma_vector,
+    _is_real,
+    _whole_number,
     rank_bounds_from_rejections,
     true_set_ranks,
     truth_partition,
@@ -96,9 +101,21 @@ def _child_seed(master: int, *parts: int) -> int:
     return int(state.generate_state(1, np.uint64)[0])
 
 
+def _reals(values, key: str) -> tuple:
+    """``values``, a nonempty list, tuple or 1-d array of finite reals (no bools), as floats."""
+    values = values.tolist() if isinstance(values, np.ndarray) else values
+    if not (isinstance(values, (list, tuple)) and all(map(_is_real, values))):
+        raise ValueError(f"{key!r} must be a list of real numbers")
+    return tuple(_as_float_vector(values, key).tolist())
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One simulation scenario: truths, noise scale and run protocol."""
+    """One simulation scenario: truths, noise scale and run protocol.
+
+    ``mu`` and ``sigma`` are lists of reals (a real ``sigma`` is every center's)
+    and ``reps``, ``seed``, ``mc_samples`` whole numbers; a bool is neither.
+    """
 
     mu: tuple
     sigma: tuple
@@ -111,27 +128,29 @@ class ScenarioConfig:
     name: str = "custom"
 
     def __post_init__(self):
-        mu = tuple(float(v) for v in self.mu)
-        sigma = tuple(float(v) for v in self.sigma)
-        if len(mu) != len(sigma) or len(mu) < 1:
-            raise ValueError("mu and sigma must be nonempty and of equal length")
-        if any(not np.isfinite(v) for v in mu):
-            raise ValueError("mu must be finite")
-        if any(not np.isfinite(s) or s <= 0 for s in sigma):
-            raise ValueError("sigma must be finite and positive")
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must be in (0, 1)")
-        if self.mc_samples < MC_SAMPLES_FLOOR:
-            raise ValueError(f"mc_samples must be at least {MC_SAMPLES_FLOOR}")
+        mu = _reals(self.mu, "mu")
+        sigma = _reals((self.sigma,) * len(mu) if _is_real(self.sigma) else self.sigma, "sigma")
+        if len(mu) != len(sigma):
+            raise ValueError("mu and sigma must be of equal length")
+        _as_sigma_vector(sigma)
+        if not (_is_real(self.alpha) and 0 < self.alpha < 1):
+            raise ValueError("'alpha' must be a real number in (0, 1)")
+        counts = {key: _whole_number(getattr(self, key), key)
+                  for key in ("reps", "seed", "mc_samples")}
+        for key, floor in (("reps", 1), ("mc_samples", MC_SAMPLES_FLOOR)):
+            if counts[key] < floor:
+                raise ValueError(f"{key} must be at least {floor}")
+        if not (isinstance(self.methods, (list, tuple))
+                and all(isinstance(m, str) for m in self.methods)):
+            raise ValueError("'methods' must be a list of method names")
         methods = tuple(dict.fromkeys(self.methods))
-        unknown = [m for m in methods if m not in KNOWN_METHODS]
-        if unknown or not methods:
+        if not methods or not set(methods) <= set(KNOWN_METHODS):
             raise ValueError(f"methods must be a nonempty subset of {KNOWN_METHODS}")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "methods", methods)
+        if not isinstance(self.name, str):
+            raise ValueError(f"'name' must be a string, got {json.dumps(self.name, default=repr)}")
+        for key, value in dict(mu=mu, sigma=sigma, alpha=float(self.alpha), methods=methods,
+                               **counts).items():
+            object.__setattr__(self, key, value)
 
     @property
     def n(self) -> int:
@@ -348,12 +367,12 @@ def _pool_outcomes(cfg: ScenarioConfig, r: int, live_pool: _LivePool):
     return outcomes, not both_tested or runs["seqtukey"][0][0].is_nested_in(runs["tukey"][0][0])
 
 
-def _run_replicate(cfg: ScenarioConfig, r: int, live_pool=None):
+def _run_replicate(cfg: ScenarioConfig, r: int):
     """Replicate r alone, bootstrapped last in this thread: what ``run_coverage`` reports for r.
 
     Returns ``({method: _Outcome}, nested)``; ``nested`` is False if seqtukey's CIs leave Tukey's.
     """
-    outcomes, nested = _pool_outcomes(cfg, r, live_pool or _LivePool(cfg))
+    outcomes, nested = _pool_outcomes(cfg, r, _LivePool(cfg))
     if "zhang" in cfg.methods:
         outcomes["zhang"] = _bootstrap_outcome(cfg, r)
     return {m: outcomes[m] for m in cfg.methods}, nested
@@ -435,18 +454,9 @@ def preset_scenario(name: str, *, reps: int = 100, alpha: float = 0.05,
     """
     if name not in PRESET_CENTERS:
         raise KeyError(f"unknown scenario {name!r}; choose from {sorted(PRESET_CENTERS)}")
-    mu = PRESET_CENTERS[name]
-    return ScenarioConfig(
-        mu=mu,
-        sigma=(1.0,) * len(mu),
-        alpha=alpha,
-        reps=reps,
-        seed=seed,
-        methods=methods,
-        mc_samples=mc_samples,
-        boot=BootstrapConfig(n_boot=n_boot, maxiter=10),
-        name=name,
-    )
+    return ScenarioConfig(mu=PRESET_CENTERS[name], sigma=1.0, alpha=alpha, reps=reps, seed=seed,
+                          methods=methods, mc_samples=mc_samples,
+                          boot=BootstrapConfig(n_boot=n_boot, maxiter=10), name=name)
 
 
 def comparison_scenario(n: int = 50, *, alpha: float = 0.01, reps: int = 20,
@@ -457,14 +467,6 @@ def comparison_scenario(n: int = 50, *, alpha: float = 0.01, reps: int = 20,
     [0.5, 1.5], from the scenario seed, then frozen into the config.
     """
     rng = np.random.default_rng(_child_seed(seed, _TAG_SIGMA))
-    sigma = 0.5 + rng.random(n)
-    return ScenarioConfig(
-        mu=tuple(float(i) for i in range(1, n + 1)),
-        sigma=tuple(float(s) for s in sigma),
-        alpha=alpha,
-        reps=reps,
-        seed=seed,
-        methods=("tukey", "seqtukey"),
-        mc_samples=mc_samples,
-        name=f"comparison-{n}",
-    )
+    return ScenarioConfig(mu=np.arange(1.0, n + 1), sigma=0.5 + rng.random(n), alpha=alpha,
+                          reps=reps, seed=seed, methods=("tukey", "seqtukey"),
+                          mc_samples=mc_samples, name=f"comparison-{n}")

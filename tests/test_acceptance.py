@@ -151,6 +151,32 @@ def test_criterion_5_fwer_under_full_tie():
             rate <= bound, f"rate={rate:.4f} bound={bound:.4f}")
 
 
+@pytest.mark.parametrize("mu, seed", [
+    ((0.0,) * 10, 20240507),
+    ((0.0, 0.0, 0.0, 4.0, 4.0, 4.0, 8.0, 8.0, 12.0, 12.0), 20240508),
+], ids=["full-tie", "block-ties"])
+def test_criterion_5_fwer_beyond_unit_sigmas(mu, seed):
+    # block ties are where seqtukey's later rounds, on the kept rows, can
+    # reject a true hypothesis; each replicate's sorted sigmas draw a new pool
+    reps = 1000
+    cfg = ScenarioConfig(
+        mu=mu,
+        sigma=np.random.default_rng(seed).uniform(0.5, 1.5, len(mu)),
+        alpha=0.05,
+        reps=reps,
+        seed=seed,
+        methods=("tukey", "seqtukey"),
+        mc_samples=10_000,
+        name="unequal-sigma-ties",
+    )
+    report = run_coverage(cfg)
+    rates = {m: report.methods[m].fwer_rate for m in cfg.methods}
+    bound = 0.05 + 3 * np.sqrt(0.05 * 0.95 / reps)
+    _report(5, f"FWER with sigma ~ U[0.5, 1.5] (reps={reps})",
+            max(rates.values()) <= bound,
+            ", ".join(f"{m}={r:.4f}" for m, r in rates.items()) + f" bound={bound:.4f}")
+
+
 def test_criterion_6_empirical_rank_containment(instance_sweep):
     violations = 0
     for _, tuk, seq, _, _ in instance_sweep:

@@ -274,9 +274,9 @@ class TestChunkedRanks:
     @pytest.mark.parametrize("y", [[0.25], [0.25] * 7, [0.5, 0.25, 0.75] * 6],
                              ids=["one-center", "all-equal", "three-values"])
     def test_exact_ties_rank_by_position(self, y):
-        # y + 1e-300 z rounds back to y, so every replicate ties as y does
+        # y + 1e-150 z rounds back to y, so every replicate ties as y does
         n = len(y)
-        s = CenterSample.from_observations(y, [1e-300] * n)
+        s = CenterSample.from_observations(y, [1e-150] * n)
         cfg = BootstrapConfig(n_boot=50, seed=2)
         draws = make_bootstrap_draws(s, cfg)
         assert (draws == s.y).all()

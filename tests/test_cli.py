@@ -129,6 +129,30 @@ class TestIngest:
         assert captured.out == ""
         assert captured.err == f"error: {path}: row 1: expected 3 columns, got 4\n"
 
+    def test_semicolon_header_named(self, tmp_path, capsys):
+        # spreadsheets in decimal-comma locales write semicolons; the reason must say so
+        path = tmp_path / "semi.csv"
+        path.write_text("id;estimate;std_error\na;1,5;0,2\nb;2,5;0,2\n")
+        assert main(["rank", "--input", str(path), "--mc-samples", "2000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}: the header looks semicolon-delimited; "
+                                "use comma or tab\n")
+
+    @pytest.mark.parametrize("se", ["1e-170", "1e200"])
+    def test_sigma_whose_square_is_not_normal_names_row(self, tmp_path, capsys, se):
+        # with sigma^2 = 0 for a and b the parent printed q=inf, ranked all three
+        # centers [1, 3] and exited 0
+        path = tmp_path / "edge.csv"
+        path.write_text(f"id,estimate,std_error\nc,3,1\na,1,{se}\nb,1.0000000001,{se}\n")
+        assert main(["rank", "--input", str(path), "--method", "seqtukey", "--trace",
+                     "--mc-samples", "2000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}: row 2: std_error must lie in "
+                                "[1.4917e-154, 9.4808e+153], so that its square and a sum "
+                                "of two squares are normal floats\n")
+
     def test_trailing_empty_cells_accepted(self, tmp_path):
         path = tmp_path / "trailing.csv"
         path.write_text("estimate,std_error,id\n1.0,0.5,x,\n2.0,0.5,y, ,\n")
@@ -322,7 +346,7 @@ class TestCountFlags:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"mu": [1, 2, 3], **spec}))
         assert main(["simulate", "--scenario", f"file:{path}"]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: scenario file {path}: {message}\n"
 
     def test_floor_values_run(self, estimates_file, tmp_path):
         out_file = tmp_path / "res.json"
@@ -538,13 +562,15 @@ class TestCmdSimulate:
             raise AssertionError(f"ran methods {cfg.methods}")
 
         monkeypatch.setattr("rankci.cli.run_coverage", no_run)
+        prefix = ""
         if scenario == "file":
             path = tmp_path / "scenario.json"
             path.write_text(json.dumps({"mu": [1, 2, 3]}))
-            scenario = f"file:{path}"
+            scenario, prefix = f"file:{path}", f"scenario file {path}: "
         assert main(["simulate", "--scenario", scenario, "--methods", ""]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: methods must be a nonempty subset") and err.count("\n") == 1
+        assert err.startswith(f"error: {prefix}methods must be a nonempty subset")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("name", [None, ["a", "b"], 7, {"a": 1}],
                              ids=["null", "list", "number", "object"])
@@ -558,6 +584,17 @@ class TestCmdSimulate:
         assert err.startswith("error: scenario file ") and err.count("\n") == 1
         assert err.endswith(f"'name' must be a string, got {json.dumps(name)}\n")
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("sigma", [1e-170, [1.0, 1e200, 1.0]], ids=["scalar", "list"])
+    def test_scenario_sigma_whose_square_is_not_normal_refused(self, tmp_path, capsys, sigma):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"mu": [1, 2, 3], "sigma": sigma}))
+        assert main(["simulate", "--scenario", f"file:{path}", "--methods", "tukey",
+                     "--reps", "1", "--mc-samples", "2000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: scenario file {path}: sigma must lie in ")
+        assert captured.err.count("\n") == 1
 
     def test_unwritable_out_file_exits_with_one_line(self, tmp_path, capsys):
         path = str(tmp_path / "missing" / "sim.json")

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from rankci.core import (
+    SIGMA_MAX,
+    SIGMA_MIN,
     CenterSample,
     PairSet,
     RankInterval,
@@ -193,6 +195,23 @@ class TestCenterSample:
             CenterSample.from_observations([1.0, 2.0], [1.0])
         with pytest.raises(ValueError):
             CenterSample.from_observations([], [])
+
+    def test_sigma_bounds(self):
+        tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+        assert SIGMA_MIN ** 2 >= tiny and np.nextafter(SIGMA_MIN, 0) ** 2 <= tiny
+        assert np.isfinite(2 * SIGMA_MAX ** 2) and SIGMA_MAX < np.sqrt(huge)
+
+    @pytest.mark.parametrize("sigma", [1e-170, np.nextafter(SIGMA_MIN, 0), 1e200,
+                                       np.nextafter(SIGMA_MAX, np.inf), 0.0],
+                             ids=["underflow", "below", "overflow", "above", "zero"])
+    def test_sigma_whose_square_is_not_normal_refused(self, sigma):
+        # sigma^2, or a sum of two, would be 0, subnormal or inf in every pairwise statistic
+        with pytest.raises(ValueError, match=r"sigma must lie in \[1\.4917e-154, 9\.4808e\+153\]"):
+            CenterSample.from_observations([1.0, 2.0], [1.0, sigma])
+
+    def test_sigma_bounds_accepted(self):
+        s = CenterSample.from_observations([1.0, 2.0], [SIGMA_MIN, SIGMA_MAX])
+        assert s.sigma.tolist() == [SIGMA_MIN, SIGMA_MAX]
 
     def test_arrays_frozen(self):
         s = CenterSample.from_observations([1.0, 2.0], [1.0, 1.0])

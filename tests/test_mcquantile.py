@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from rankci import mcquantile
+from rankci.core import SIGMA_MAX, SIGMA_MIN
 from rankci.mcquantile import (
     MC_SAMPLES_FLOOR,
     full_row_maxima,
@@ -64,6 +65,23 @@ class TestMakeMcPool:
             make_mc_pool([-1.0, 1.0], 1000, seed=0)
         with pytest.raises(ValueError):
             make_mc_pool([], 1000, seed=0)
+
+    @pytest.mark.parametrize("sigma", [1e-170, 1e200, np.nextafter(SIGMA_MIN, 0),
+                                       np.nextafter(SIGMA_MAX, np.inf)],
+                             ids=["underflow", "overflow", "below", "above"])
+    def test_sigma_whose_square_is_not_normal_refused(self, sigma):
+        # the parent's pool took 1e-170: sigma^2 = 0 made every row's maximum inf
+        with pytest.raises(ValueError, match="sigma must lie in"):
+            make_mc_pool([1.0, sigma, 1.0], 1000, seed=0)
+
+    @pytest.mark.parametrize("sigma", [[SIGMA_MIN] * 3, [SIGMA_MAX] * 3,
+                                       [SIGMA_MIN, 1.0, SIGMA_MAX]],
+                             ids=["min", "max", "both"])
+    def test_sigma_bounds_give_finite_quantiles(self, sigma):
+        # RuntimeWarnings are errors in this suite, so no overflow or 0/0 either
+        pool = make_mc_pool(sigma, 1000, seed=0)
+        assert np.isfinite(studentized_range_quantile(pool, 0.05))
+        assert np.isfinite(full_row_maxima(pool)).all()
 
     def test_draws_frozen(self):
         pool = make_mc_pool([1.0], 1000, seed=0)

@@ -12,8 +12,16 @@ bit for bit, not just approximately:
   are the ones computed directly, on the whole pool or on a copy of some of
   its rows;
 * an order statistic is an exact selection, so leaving out values known to lie
-  below it and shifting its index by their count selects the same value.
+  below it and shifting its index by their count selects the same value;
+* an estimates file that ``csv.writer`` wrote reads back to the same ids and
+  the same floats, and one corrupted cell in it is one ``error:`` line.
 """
+
+import contextlib
+import csv
+import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -31,6 +39,8 @@ from rankci import (
     tukey_rank_cis,
     zhang_simultaneous,
 )
+from rankci.cli import ingest_estimates, main
+from rankci.core import SIGMA_MAX, SIGMA_MIN
 from rankci.mcquantile import (
     empirical_quantile,
     full_row_maxima,
@@ -262,3 +272,92 @@ def test_round_critical_values_are_restricted_quantiles(instance, alpha, kept_sh
     for before, q in zip(trace.steps, trace.critical_values[1:]):
         remaining = positives & ~before.rejected_total
         assert q == restricted_max_quantile(pool, remaining | positives.T, alpha)
+
+
+# id text: the delimiters, quotes, line breaks, a semicolon and non-ASCII letters;
+# ingest strips each cell, so an id neither starts nor ends with whitespace
+CELL_TEXT = st.text(st.sampled_from(list("ab ,\t\"'\n\r;äß漢é")), max_size=6)
+IDS = CELL_TEXT.filter(lambda text: text == text.strip())
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def estimate_tables(draw, min_rows=1):
+    """(ids, estimates, sigmas, header, rows): an estimates table, extra columns anywhere."""
+    n = draw(st.integers(min_rows, 6))
+    ids = draw(st.lists(IDS, min_size=n, max_size=n, unique=True))
+    estimates = draw(st.lists(FINITE, min_size=n, max_size=n))
+    sigmas = draw(st.lists(st.floats(SIGMA_MIN, SIGMA_MAX), min_size=n, max_size=n))
+    header = ["id", "estimate", "std_error"]
+    for k in range(draw(st.integers(0, 2))):
+        header.insert(draw(st.integers(0, len(header))), f"note{k}")
+    rows = []
+    for values in zip(ids, estimates, sigmas):
+        cells = dict(zip(("id", "estimate", "std_error"), (values[0], *map(repr, values[1:]))))
+        rows.append([cells[col] if col in cells else draw(CELL_TEXT) for col in header])
+    return ids, estimates, sigmas, header, rows
+
+
+def write_table(draw, header, rows) -> str:
+    """``header`` and ``rows`` as csv.writer writes them, comma or tab delimited.
+
+    With or without a byte-order mark, with LF or CRLF line ends and blank
+    lines between records.
+    """
+    delimiter, line_end = draw(st.sampled_from([",", "\t"])), draw(st.sampled_from(["\n", "\r\n"]))
+    text = "\ufeff" if draw(st.booleans()) else ""
+    for cells in [header, *rows]:
+        record = io.StringIO()
+        # CRLF makes the writer quote any cell holding a CR or LF; the record's own
+        # line end is swapped afterwards
+        csv.writer(record, delimiter=delimiter, lineterminator="\r\n").writerow(cells)
+        text += record.getvalue()[:-2] + line_end + line_end * draw(st.integers(0, 1))
+    return text
+
+
+def ingest_text(text: str, run):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return run(path)
+
+
+@PROPERTY
+@given(estimate_tables(), st.data())
+def test_ingest_reads_back_what_csv_writer_wrote(table, data):
+    ids, estimates, sigmas, header, rows = table
+    sample = ingest_text(write_table(data.draw, header, rows), ingest_estimates)
+    assert sample.to_input_order(sample.ids) == ids
+    for values, written in ((sample.y, estimates), (sample.sigma, sigmas)):
+        assert list(map(repr, sample.to_input_order(values.tolist()))) == list(map(repr, written))
+
+
+BAD_SIGMAS = st.one_of(
+    st.sampled_from(["", "abc", "1,5", "nan", "inf", "-inf", "1e-170", "1e200"]),
+    st.floats(max_value=0.0).map(repr),
+    st.floats(0.0, SIGMA_MIN, exclude_max=True).map(repr),
+    st.floats(min_value=SIGMA_MAX, exclude_min=True).map(repr),
+    CELL_TEXT.map(lambda text: "x" + text),
+)
+
+
+@PROPERTY
+@given(estimate_tables(min_rows=2), st.sampled_from(["std_error", "duplicate id", "past header"]),
+       st.data())
+def test_ingest_one_corrupt_cell_is_one_error_line(table, corruption, data):
+    ids, _, _, header, rows = table
+    row = data.draw(st.integers(1, len(rows) - 1))
+    if corruption == "std_error":
+        rows[row][header.index("std_error")] = data.draw(BAD_SIGMAS)
+    elif corruption == "duplicate id":
+        rows[row][header.index("id")] = ids[data.draw(st.integers(0, row - 1))]
+    else:
+        rows[row].append("x" + data.draw(CELL_TEXT))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = ingest_text(write_table(data.draw, header, rows),
+                             lambda path: main(["rank", "--input", path, "--mc-samples", "2000"]))
+    assert status == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert f": row {row + 1}: " in err.getvalue()

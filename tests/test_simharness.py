@@ -59,6 +59,32 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(mu=(1.0,), sigma=(1.0,), methods=("magic",))
 
+    # each value the scenario-file tests of test_cli.py refuse, given to the library directly
+    @pytest.mark.parametrize("key, value", [
+        ("reps", 2.9), ("reps", True), ("seed", True), ("seed", 0.5), ("seed", None),
+        ("mc_samples", 1000.7), ("mc_samples", "2000"), ("n_boot", False), ("n_boot", 200.5),
+        ("methods", "tukey"), ("methods", ["tukey", 1]), ("methods", {"tukey": 1}),
+        ("mu", "123"), ("sigma", True),
+    ])
+    def test_refuses_what_a_scenario_file_refuses(self, key, value):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            if key == "n_boot":
+                BootstrapConfig(n_boot=value)
+            else:
+                ScenarioConfig(**{"mu": (1.0, 2.0, 3.0), "sigma": (1.0,) * 3, key: value})
+
+    def test_whole_floats_and_scalar_sigma_read_as_a_file_reads_them(self):
+        cfg = ScenarioConfig(mu=np.array([1.0, 2.0]), sigma=2, reps=2.0, seed=np.int64(3),
+                             mc_samples=2000.0, boot=BootstrapConfig(n_boot=200.0))
+        assert (cfg.mu, cfg.sigma) == ((1.0, 2.0), (2.0, 2.0))
+        counts = (cfg.reps, cfg.seed, cfg.mc_samples, cfg.boot.n_boot)
+        assert counts == (2, 3, 2000, 200) and all(type(v) is int for v in counts)
+
+    @pytest.mark.parametrize("sigma", [1e-170, 1e200])
+    def test_sigma_whose_square_is_not_normal_refused(self, sigma):
+        with pytest.raises(ValueError, match="sigma must lie in"):
+            ScenarioConfig(mu=(1.0, 2.0), sigma=(1.0, sigma))
+
     def test_presets(self):
         for name, centers in PRESET_CENTERS.items():
             cfg = preset_scenario(name, reps=5)
