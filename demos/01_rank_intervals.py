@@ -40,13 +40,13 @@ for k in range(sample.n):
 
 print("\nThe sequential refinement never widens an interval:",
       "nested" if seq.is_nested_in(tukey) else "NOT nested (bug!)")
-print(f"It converged after {seq.iterations} testing rounds; critical values "
+print(f"It converged after {trace.iterations} testing rounds; critical values "
       f"{np.round(trace.critical_values, 3).tolist()} never increase.")
 
 for name, cis in (("tukey", tukey), ("seqtukey", seq)):
     est = rankability_estimate(cis)
-    print(f"\n{name}: rankability >= {est.value:.3f} with 95% confidence "
-          f"(interval [{est.value:.3f}, 1])")
+    print(f"\n{name}: rankability >= {est:.3f} with 95% confidence "
+          f"(interval [{est:.3f}, 1])")
 
 print("\nReading the table: every unit whose interval starts at 1 is a")
 print("candidate for best; units whose intervals are singletons are fully")

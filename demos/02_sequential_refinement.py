@@ -39,14 +39,14 @@ improved = [
     if (s.lower, s.upper) != (t.lower, t.upper)
 ]
 print(f"joint level: {1 - cfg.alpha:.0%}, centers: {sample.n}")
-print(f"sequential rounds: {seq.iterations}, critical values "
+print(f"sequential rounds: {trace.iterations}, critical values "
       f"{np.round(trace.critical_values, 3).tolist()}")
 print(f"intervals improved: {len(improved)} of {sample.n}")
 for k, t, s in improved:
     print(f"  position {k + 1:2d}: [{t.lower},{t.upper}] -> [{s.lower},{s.upper}]")
 
-r_tuk = rankability_estimate(tukey).value
-r_seq = rankability_estimate(seq).value
+r_tuk = rankability_estimate(tukey)
+r_seq = rankability_estimate(seq)
 print(f"\nrankability estimate: tukey {r_tuk:.3f}, seqtukey {r_seq:.3f} "
       f"(each extra rank shaved is worth {1 / (50 * 49):.5f})")
 

@@ -34,8 +34,8 @@ for alpha in (0.05, 0.5):
     cis, _ = sequential_tukey(sample, alpha, pool)
     est = rankability_estimate(cis)
     print(f"\nat joint level {1 - alpha:.0%}:")
-    print(f"  estimated rankability {est.value:.3f}, "
-          f"{100 * (1 - alpha):g}% CI [{est.value:.3f}, 1]")
+    print(f"  estimated rankability {est:.3f}, "
+          f"{100 * (1 - alpha):g}% CI [{est:.3f}, 1]")
     widths = cis.widths()
     print(f"  mean interval width {widths.mean():.2f} ranks "
           f"(0 would mean full separation)")

@@ -18,7 +18,6 @@ from .core import (
     CenterSample,
     PairSet,
     RankInterval,
-    SetRank,
     SimultaneousRankCIs,
     rank_bounds_from_rejections,
     true_set_ranks,
@@ -32,7 +31,7 @@ from .mcquantile import (
     restricted_max_quantile,
     studentized_range_quantile,
 )
-from .rankability import RankabilityEstimate, rankability_estimate, rankability_true
+from .rankability import rankability_estimate, rankability_true
 from .seqtukey import SeqStep, SeqTrace, sequential_tukey
 from .simharness import (
     PRESET_CENTERS,
@@ -64,11 +63,9 @@ __all__ = [
     "PRESET_CENTERS",
     "PairSet",
     "RankInterval",
-    "RankabilityEstimate",
     "ScenarioConfig",
     "SeqStep",
     "SeqTrace",
-    "SetRank",
     "SimultaneousRankCIs",
     "ZhangResult",
     "comparison_scenario",

@@ -172,8 +172,9 @@ def _rank_model(sample: CenterSample, runs) -> dict:
     ``centers`` holds one ``{"id", "estimate", "std_error", "rank"}`` dict per
     center, where rank is the sorted position + 1.  ``results[method]``
     holds the matching ``intervals`` and what else the method reports:
-    rankability (with two or more centers), seqtukey's iterations, zhang's
-    bisection outcome.  The table, JSON, TSV and plot data all read it.
+    rankability (with two or more centers, its one-sided CI ``[value, 1]`` at
+    the CIs' alpha), seqtukey's iterations from its trace, zhang's bisection
+    outcome.  The table, JSON, TSV and plot data all read it.
     """
     centers = sample.to_input_order(
         {"id": str(ident), "estimate": float(est), "std_error": float(se), "rank": k + 1}
@@ -185,12 +186,12 @@ def _rank_model(sample: CenterSample, runs) -> dict:
         block = {"intervals": [{"id": row["id"], "lower": int(lower), "upper": int(upper)}
                                for row, (lower, upper) in zip(centers, bounds)]}
         if sample.n >= 2:
-            est = rankability_estimate(cis)
+            value = rankability_estimate(cis)
             block["rankability"] = {
-                "value": est.value, "alpha": est.alpha, "ci": [est.ci_lower, est.ci_upper],
-                "midlevel_point_estimate": rankability_estimate(cis_half).value}
+                "value": value, "alpha": cis.alpha, "ci": [value, 1.0],
+                "midlevel_point_estimate": rankability_estimate(cis_half)}
         if method == "seqtukey":
-            block["iterations"] = cis.iterations
+            block["iterations"] = detail.iterations
         elif method == "zhang":
             block.update(achieved_coverage=detail.achieved_coverage,
                          beta_final=detail.beta_final, converged=detail.converged)

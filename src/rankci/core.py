@@ -4,7 +4,8 @@ The observation model is ``y_i ~ N(mu_i, sigma_i^2)`` with known standard
 deviations.  Estimators work on a :class:`CenterSample`, which keeps the
 observations sorted ascending; all pair indices used across the package are
 0-based positions into that sorted sample.  Rank values themselves are
-1-based integers between 1 and n.
+1-based integers between 1 and n, and one interval type,
+:class:`RankInterval`, holds both a true center's set-rank and a rank CI.
 
 A set of pairs is a read-only boolean ``(n, n)`` mask: ``mask[i, j]`` is the
 ordered pair (i, j), the one-sided hypothesis "center i is at most center
@@ -22,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "CenterSample",
-    "SetRank",
     "RankInterval",
     "SimultaneousRankCIs",
     "PairSet",
@@ -76,28 +76,14 @@ def _whole_number(value, key: str) -> int:
 
 
 @dataclass(frozen=True)
-class SetRank:
-    """Integer interval [lower, upper] of positions a true center can occupy.
-
-    Tied centers share the same set-rank; a center distinct from all others
-    has ``lower == upper``.
-    """
-
-    lower: int
-    upper: int
-
-    def __post_init__(self):
-        if not (1 <= self.lower <= self.upper):
-            raise ValueError(f"invalid set-rank [{self.lower}, {self.upper}]")
-
-    @property
-    def width(self) -> int:
-        return self.upper - self.lower
-
-
-@dataclass(frozen=True)
 class RankInterval:
-    """Confidence interval [lower, upper] for a rank, in 1-based rank units."""
+    """Integer interval [lower, upper] of ranks, in 1-based rank units.
+
+    The one interval type of the package: a confidence interval for a rank,
+    and the set-rank of a true center (tied centers share one set-rank, a
+    center distinct from all others has ``lower == upper``).  A CI covers a
+    set-rank when the set-rank :meth:`is_subset_of` it.
+    """
 
     lower: int
     upper: int
@@ -113,10 +99,6 @@ class RankInterval:
     def contains_rank(self, rank: int) -> bool:
         return self.lower <= rank <= self.upper
 
-    def contains_set_rank(self, set_rank: SetRank) -> bool:
-        """True when the whole set-rank lies inside this interval."""
-        return self.lower <= set_rank.lower and set_rank.upper <= self.upper
-
     def is_subset_of(self, other: "RankInterval") -> bool:
         return other.lower <= self.lower and self.upper <= other.upper
 
@@ -128,13 +110,11 @@ class SimultaneousRankCIs:
     ``intervals[i]`` belongs to the i-th center of the *sorted* sample.  For
     the simultaneous test-based methods (``tukey``, ``seqtukey``) interval i
     always contains the empirical rank i+1; this is enforced on construction.
-    ``iterations`` is only meaningful for ``seqtukey``.
     """
 
     intervals: tuple[RankInterval, ...]
     alpha: float
     method: str
-    iterations: int | None = None
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
@@ -249,7 +229,7 @@ class CenterSample:
         ids = tuple(self.ids)
         if not (len(ids) == y.size == sigma.size == order.size):
             raise ValueError("ids, y, sigma and order must have equal length")
-        if np.any(np.diff(y) < 0):
+        if np.any(y[1:] < y[:-1]):  # compared, not subtracted: a difference can overflow
             raise ValueError("y must be sorted ascending")
         if sorted(order.tolist()) != list(range(y.size)):
             raise ValueError("order must be a permutation of 0..n-1")
@@ -307,7 +287,7 @@ class CenterSample:
         return out
 
 
-def true_set_ranks(mu) -> list[SetRank]:
+def true_set_ranks(mu) -> list[RankInterval]:
     """Set-ranks of true centers, allowing ties.
 
     For center i, ``lower = 1 + #{j : mu_j < mu_i}`` and
@@ -321,12 +301,12 @@ def true_set_ranks(mu) -> list[SetRank]:
 
     Returns
     -------
-    list of SetRank, one per center in input order.
+    list of RankInterval, one per center in input order.
     """
     mu = _as_float_vector(mu, "mu")
     lower = 1 + np.sum(mu[None, :] < mu[:, None], axis=1)
     upper = mu.size - np.sum(mu[None, :] > mu[:, None], axis=1)
-    return [SetRank(int(lo), int(up)) for lo, up in zip(lower, upper)]
+    return [RankInterval(int(lo), int(up)) for lo, up in zip(lower, upper)]
 
 
 def truth_partition(mu) -> tuple[np.ndarray, np.ndarray]:

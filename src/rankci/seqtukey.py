@@ -65,7 +65,7 @@ class SeqStep:
 
 @dataclass(frozen=True)
 class SeqTrace:
-    """Per-round history of the sequential procedure.
+    """Per-round history of the sequential procedure, and its round count.
 
     Critical values never increase along the trace and the cumulative
     rejected set only grows; both facts are exact because every quantile
@@ -129,8 +129,7 @@ def sequential_tukey(sample: CenterSample, alpha: float, pool: McPool
     _check_pool(sample, pool)
     n = sample.n
     if n == 1:
-        cis = SimultaneousRankCIs((RankInterval(1, 1),), alpha, "seqtukey", iterations=0)
-        return cis, SeqTrace(())
+        return SimultaneousRankCIs((RankInterval(1, 1),), alpha, "seqtukey"), SeqTrace(())
 
     stat = _statistic_matrix(sample)
     rejected = np.zeros((n, n), dtype=bool)
@@ -158,5 +157,4 @@ def sequential_tukey(sample: CenterSample, alpha: float, pool: McPool
         q = empirical_quantile(base, alpha, _below=below)
 
     intervals = rank_bounds_from_rejections(rejected)
-    cis = SimultaneousRankCIs(tuple(intervals), alpha, "seqtukey", iterations=len(steps))
-    return cis, SeqTrace(tuple(steps))
+    return SimultaneousRankCIs(tuple(intervals), alpha, "seqtukey"), SeqTrace(tuple(steps))

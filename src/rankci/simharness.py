@@ -335,10 +335,10 @@ def _score(set_ranks, sample: CenterSample, cis, false_rejection) -> _Outcome:
     """``cis`` of one method on a replicate's ``sample``, scored against the true ``set_ranks``."""
     intervals = list(zip(cis.intervals, sample.order.tolist()))
     return _Outcome(
-        covered_set_rank=all(ci.contains_set_rank(set_ranks[k]) for ci, k in intervals),
+        covered_set_rank=all(set_ranks[k].is_subset_of(ci) for ci, k in intervals),
         covered_index=all(ci.contains_rank(k + 1) for ci, k in intervals),
         mean_width=float(cis.widths().mean()),
-        rankability=rankability_estimate(cis).value if sample.n >= 2 else np.nan,
+        rankability=rankability_estimate(cis) if sample.n >= 2 else np.nan,
         false_rejection=false_rejection,
     )
 

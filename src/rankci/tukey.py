@@ -39,7 +39,8 @@ def _statistic_matrix(sample: CenterSample) -> np.ndarray:
     """|y_i - y_j| / sqrt(sigma_i^2 + sigma_j^2) for all i, j."""
     y = sample.y
     sig2 = sample.sigma ** 2
-    return np.abs(y[:, None] - y[None, :]) / np.sqrt(sig2[:, None] + sig2[None, :])
+    with np.errstate(over="ignore"):  # an inf exceeds every q: its pair is rightly rejected
+        return np.abs(y[:, None] - y[None, :]) / np.sqrt(sig2[:, None] + sig2[None, :])
 
 
 def tukey_difference_cis(sample: CenterSample, alpha: float, pool: McPool) -> list[DifferenceCI]:
@@ -56,12 +57,12 @@ def tukey_difference_cis(sample: CenterSample, alpha: float, pool: McPool) -> li
     y = sample.y
     sig2 = sample.sigma ** 2
     out = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            half = np.sqrt(sig2[i] + sig2[j]) * q
-            out.append(DifferenceCI(i, j, float(y[i] - y[j] - half), float(y[i] - y[j] + half)))
+    with np.errstate(over="ignore"):  # a difference past the float range is infinite
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    diff, half = y[i] - y[j], np.sqrt(sig2[i] + sig2[j]) * q
+                    out.append(DifferenceCI(i, j, float(diff - half), float(diff + half)))
     return out
 
 

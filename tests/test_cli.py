@@ -311,6 +311,27 @@ class TestCmdRank:
         assert err[0].startswith("error:") and "--mc-samples" in err[0]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestExtremeButValidInputs:
+    """Estimates whose difference, or standardized difference, passes the float range."""
+
+    @pytest.mark.parametrize("rows", [
+        "a,-1.7e308,1\nb,1.7e308,1\nc,0,1\n",
+        "a,0,1.5e-154\nb,1e200,1.5e-154\nc,2e200,1\n",
+        "a,-1.7e308,1\nb,1.7e308,1\n",
+    ], ids=["subtract", "divide", "two-centers"])
+    def test_rank_all_gives_singletons(self, rows, tmp_path, capsys):
+        path, out_file = tmp_path / "extreme.csv", tmp_path / "res.json"
+        path.write_text("id,estimate,std_error\n" + rows)
+        assert main(["rank", "--input", str(path), "--method", "all",
+                     "--mc-samples", "1000", "--boot-samples", "200",
+                     "--out", "json", "--out-file", str(out_file)]) == 0
+        results = json.loads(out_file.read_text())["results"]
+        assert set(results) == {"tukey", "seqtukey", "zhang"}
+        for block in results.values():
+            assert all(ci["lower"] == ci["upper"] for ci in block["intervals"])
+
+
 class TestCountFlags:
     """--mc-samples and --boot-samples are checked before any work, whatever the methods."""
 

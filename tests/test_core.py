@@ -7,7 +7,6 @@ from rankci.core import (
     CenterSample,
     PairSet,
     RankInterval,
-    SetRank,
     SimultaneousRankCIs,
     true_set_ranks,
     truth_partition,
@@ -104,16 +103,16 @@ class TestTruthPartition:
 class TestIntervalTypes:
     def test_set_rank_validation(self):
         with pytest.raises(ValueError):
-            SetRank(2, 1)
+            RankInterval(2, 1)
         with pytest.raises(ValueError):
-            SetRank(0, 1)
+            RankInterval(0, 1)
 
     def test_rank_interval_containment(self):
         ci = RankInterval(2, 5)
         assert ci.contains_rank(2) and ci.contains_rank(5)
         assert not ci.contains_rank(1)
-        assert ci.contains_set_rank(SetRank(3, 4))
-        assert not ci.contains_set_rank(SetRank(1, 3))
+        assert RankInterval(3, 4).is_subset_of(ci)
+        assert not RankInterval(1, 3).is_subset_of(ci)
         assert ci.is_subset_of(RankInterval(1, 5))
         assert not ci.is_subset_of(RankInterval(3, 5))
 
@@ -195,6 +194,12 @@ class TestCenterSample:
             CenterSample.from_observations([1.0, 2.0], [1.0])
         with pytest.raises(ValueError):
             CenterSample.from_observations([], [])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sort_check_of_extreme_estimates_does_not_overflow(self):
+        # 1.7e308 - (-1.7e308) overflows; sortedness is checked by comparison alone
+        s = CenterSample.from_observations([1.7e308, -1.7e308], [1.0, 1.0])
+        assert s.y.tolist() == [-1.7e308, 1.7e308]
 
     def test_sigma_bounds(self):
         tiny, huge = np.finfo(float).tiny, np.finfo(float).max

@@ -114,7 +114,7 @@ def test_critical_values_never_increase(instance):
 def test_rankability_estimate_in_unit_interval(instance):
     _, tuk, seq, _ = run(*instance)
     for cis in (tuk, seq):
-        assert 0.0 <= rankability_estimate(cis).value <= 1.0
+        assert 0.0 <= rankability_estimate(cis) <= 1.0
 
 
 @PROPERTY

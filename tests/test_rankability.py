@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rankci.core import RankInterval, SimultaneousRankCIs, true_set_ranks
+from rankci.cli import _rank_model
+from rankci.core import CenterSample, RankInterval, SimultaneousRankCIs, true_set_ranks
 from rankci.rankability import rankability_estimate, rankability_true
 
 
@@ -35,24 +36,24 @@ class TestRankabilityTrue:
 class TestRankabilityEstimate:
     def test_full_range_cis_score_zero(self):
         cis = cis_from_bounds([(1, 4)] * 4)
-        assert rankability_estimate(cis).value == 0.0
+        assert rankability_estimate(cis) == 0.0
 
     def test_singleton_cis_score_one(self):
         cis = cis_from_bounds([(1, 1), (2, 2), (3, 3)])
-        est = rankability_estimate(cis)
-        assert est.value == 1.0
-        assert (est.ci_lower, est.ci_upper) == (1.0, 1.0)
+        assert rankability_estimate(cis) == 1.0
 
     def test_three_center_example(self):
         cis = cis_from_bounds([(1, 1), (2, 3), (2, 3)])
-        assert rankability_estimate(cis).value == pytest.approx(2.0 / 3.0)
+        assert rankability_estimate(cis) == pytest.approx(2.0 / 3.0)
 
     def test_interval_is_value_to_one(self):
         cis = cis_from_bounds([(1, 2), (1, 2), (3, 3)], alpha=0.1)
-        est = rankability_estimate(cis)
-        assert est.ci_lower == est.value
-        assert est.ci_upper == 1.0
-        assert est.alpha == 0.1
+        sample = CenterSample.from_observations([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
+        model = _rank_model(sample, {"tukey": [(cis, None, None), (cis, None, None)]})
+        est = model["results"]["tukey"]["rankability"]
+        assert est["value"] == rankability_estimate(cis)
+        assert est["ci"] == [est["value"], 1.0]
+        assert est["alpha"] == 0.1
 
     def test_requires_two_centers(self):
         cis = cis_from_bounds([(1, 1)])
@@ -65,7 +66,7 @@ class TestRankabilityEstimate:
         widened = cis_from_bounds(
             [(1, 2)] + [(i, i) for i in range(2, n + 1)]
         )
-        delta = rankability_estimate(base).value - rankability_estimate(widened).value
+        delta = rankability_estimate(base) - rankability_estimate(widened)
         assert delta == pytest.approx(1.0 / (n * (n - 1)))
 
     @pytest.mark.parametrize("seed", range(20))
@@ -83,9 +84,9 @@ class TestRankabilityEstimate:
         cis = SimultaneousRankCIs(
             tuple(RankInterval(lo, up) for lo, up in bounds), 0.05, "zhang"
         )
-        assert rankability_estimate(cis).value <= rankability_true(set_ranks) + 1e-12
+        assert rankability_estimate(cis) <= rankability_true(set_ranks) + 1e-12
 
     def test_nested_cis_score_at_least_as_high(self):
         outer = cis_from_bounds([(1, 3), (1, 3), (2, 3)])
         inner = cis_from_bounds([(1, 2), (1, 3), (3, 3)], method="seqtukey")
-        assert rankability_estimate(inner).value >= rankability_estimate(outer).value
+        assert rankability_estimate(inner) >= rankability_estimate(outer)
