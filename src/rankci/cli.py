@@ -17,8 +17,9 @@ machine-readable JSON/TSV goes to files and embeds the run manifest, which
 holds no time, so a rerun with the same flags and seed reproduces the bytes
 exactly.  An unwritable output path, a negative seed, ``--mc-samples``
 below ``MC_SAMPLES_FLOOR`` or ``--boot-samples`` below 1 (whatever the
-methods), or ``--out json|tsv`` and ``--out-file`` given one without the
-other ends the run with one ``error:`` line and exit status 2.
+methods), ``--out json|tsv`` and ``--out-file`` given one without the
+other, or ``--trace`` without seqtukey among the methods ends the run with
+one ``error:`` line and exit status 2.
 """
 
 import argparse
@@ -265,7 +266,7 @@ def cmd_rank(args) -> int:
                         args.mc_samples, args.boot_samples, args.seed)
     model = _rank_model(sample, runs)
     _print_rank_table(manifest, started, model)
-    if args.trace and "seqtukey" in runs:
+    if args.trace:
         _print_trace(runs["seqtukey"][0][2])
     centers, results = model["centers"], model["results"]
     _emit(args, manifest, model,
@@ -368,6 +369,8 @@ def main(argv=None) -> int:
         # checked before any work, so a missing or unused path costs no run
         if (args.out != "table") != bool(args.out_file):
             raise IngestError("--out json/tsv and --out-file must be given together")
+        if getattr(args, "trace", False) and args.method not in ("seqtukey", "all"):
+            raise IngestError("--trace prints seqtukey's rounds; use --method seqtukey or all")
         if args.mc_samples < MC_SAMPLES_FLOOR:
             raise IngestError(f"--mc-samples must be at least {MC_SAMPLES_FLOOR}")
         if args.boot_samples < 1:

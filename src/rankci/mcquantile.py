@@ -13,9 +13,8 @@ sample, so a shared pool carries no state from one sample to the next.
 
 The pool is one column-major buffer, so every pairwise operation reads two
 contiguous columns.  The row-maxima kernels split the pool rows into
-contiguous spans, one per usable core that no live helper thread (such as
-the bootstrap's) occupies, and run each span in its own thread (numpy
-releases the GIL inside its loops).  Every row still takes its max
+contiguous spans, one per usable core, and run each span in its own thread
+(numpy releases the GIL inside its loops).  Every row still takes its max
 over the same pairs in the same order, so no result depends on the number of
 cores.
 """
@@ -191,18 +190,6 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-#: Threads started by :func:`_in_background` whose ``fn`` has not yet returned,
-#: counted process-wide, as the cores they occupy are.
-_live_helpers = 0
-_live_helpers_lock = threading.Lock()
-
-
-def _count_helper(step: int) -> None:
-    global _live_helpers
-    with _live_helpers_lock:
-        _live_helpers += step
-
-
 @contextlib.contextmanager
 def _in_background(fn):
     """Run ``fn()`` in a thread of its own while the ``with`` body runs.
@@ -211,8 +198,6 @@ def _in_background(fn):
     returned, or re-raises what it raised.  The thread is joined on leaving
     the block however the block ends, so it never outlives the block; an
     exception raised in the body propagates in place of one from ``fn``.
-    The thread counts in ``_live_helpers`` from its start until ``fn``
-    returns or raises.
     """
     outcome = {}
 
@@ -221,16 +206,9 @@ def _in_background(fn):
             outcome["result"] = fn()
         except Exception as exc:
             outcome["error"] = exc
-        finally:
-            _count_helper(-1)
 
     thread = threading.Thread(target=run)
-    _count_helper(1)
-    try:
-        thread.start()
-    except BaseException:
-        _count_helper(-1)
-        raise
+    thread.start()
 
     def join():
         thread.join()
@@ -247,15 +225,13 @@ def _in_background(fn):
 def _over_row_spans(n_rows: int, kernel) -> None:
     """Run ``kernel(start, stop)`` on contiguous spans covering ``range(n_rows)``.
 
-    There is one span per usable core not taken by a live helper thread
-    (:func:`_in_background`, counted when the kernel starts), each of at
-    least ``_MIN_SPAN_ROWS`` rows.  The first span runs in the calling
-    thread, the others each in a thread of their own.  A kernel writes only
-    its own slice of its outputs, so spans share no mutable state.  An
-    exception raised in any span is re-raised here once every span has
-    finished.
+    There is one span per usable core, each of at least ``_MIN_SPAN_ROWS``
+    rows.  The first span runs in the calling thread, the others each in a
+    thread of their own.  A kernel writes only its own slice of its outputs,
+    so spans share no mutable state.  An exception raised in any span is
+    re-raised here once every span has finished.
     """
-    spans = max(1, min(_usable_cores() - _live_helpers, n_rows // _MIN_SPAN_ROWS))
+    spans = max(1, min(_usable_cores(), n_rows // _MIN_SPAN_ROWS))
     bounds = [n_rows * k // spans for k in range(spans + 1)]
     with contextlib.ExitStack() as stack:
         joins = [stack.enter_context(_in_background(functools.partial(kernel, *span)))

@@ -275,6 +275,26 @@ class TestCmdRank:
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize("method", ["tukey", "zhang"])
+    def test_trace_without_seqtukey_fails_before_any_work(self, method, monkeypatch, capsys):
+        # the parent printed no trace and exited 0
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started before --trace was checked")
+
+        monkeypatch.setattr("rankci.cli.ingest_estimates", no_work)
+        monkeypatch.setattr("rankci.cli._run_methods", no_work)
+        assert main(["rank", "--input", "unread.csv", "--method", method, "--trace"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --trace")
+
+    def test_trace_flag_with_all_methods(self, estimates_file, capsys):
+        rc = main(["rank", "--input", estimates_file, "--method", "all",
+                   "--mc-samples", "5000", "--boot-samples", "200", "--seed", "3", "--trace"])
+        assert rc == 0
+        assert "iter 1: q=" in capsys.readouterr().out
+
     def test_bad_input_exits_nonzero_with_one_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("id,estimate,std_error\na,1.0,-2.0\n")

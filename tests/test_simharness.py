@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 import time
@@ -225,7 +226,7 @@ class TestBootstrapThread:
 
     @pytest.fixture
     def bootstraps(self, monkeypatch):
-        """``(thread, live helpers, replicate)`` of each bootstrap, and hooks each runs first.
+        """``(thread, replicate)`` of each bootstrap, and hooks each runs first.
 
         A hook is called with the bootstrap's replicate index.  The third
         list holds the replicate index of each bootstrap that returned.
@@ -234,7 +235,7 @@ class TestBootstrapThread:
         bootstrap_outcome = simharness._bootstrap_outcome
 
         def recorded(cfg, r):
-            calls.append((threading.current_thread(), mcquantile._live_helpers, r))
+            calls.append((threading.current_thread(), r))
             for hook in hooks:
                 hook(r)
             outcome = bootstrap_outcome(cfg, r)
@@ -263,9 +264,8 @@ class TestBootstrapThread:
         run_coverage(cfg)
         assert len(started) == 1
         # the helper or the calling thread runs each bootstrap, once, while the helper lives
-        assert {thread for thread, _, _ in calls} <= {started[0], threading.current_thread()}
-        assert sorted(r for _, _, r in calls) == list(range(cfg.reps))
-        assert [live for _, live, _ in calls] == [1] * cfg.reps
+        assert {thread for thread, _ in calls} <= {started[0], threading.current_thread()}
+        assert sorted(r for _, r in calls) == list(range(cfg.reps))
         run_coverage(cfg)
         assert len(started) == 2 and started[1] is not started[0]
 
@@ -277,7 +277,7 @@ class TestBootstrapThread:
         main, held = threading.current_thread(), []
 
         def ran_by_main():
-            return sum(thread is main for thread, _, _ in calls)
+            return sum(thread is main for thread, _ in calls)
 
         def hold_the_helper(r):
             # the helper's first bootstrap lasts until the calling thread,
@@ -291,7 +291,7 @@ class TestBootstrapThread:
         hooks.append(hold_the_helper)
         report = run_coverage(cfg)
         assert ran_by_main() >= 3
-        assert sorted(r for _, _, r in calls) == list(range(cfg.reps))
+        assert sorted(r for _, r in calls) == list(range(cfg.reps))
         assert report.methods["zhang"].mean_width.tolist() == [o.mean_width for o in lone]
         assert report.methods["zhang"].covered_set_rank.tolist() == [o.covered_set_rank
                                                                      for o in lone]
@@ -305,7 +305,7 @@ class TestBootstrapThread:
         cfg = quick_scenario([0.0, 0.4, 0.9], reps=4)
         _run_replicate(cfg, 2)
         assert started == []
-        assert calls == [(threading.current_thread(), 0, 2)]
+        assert calls == [(threading.current_thread(), 2)]
 
     def test_main_side_error_stops_the_helper(self, monkeypatch, bootstraps):
         calls, hooks, _ = bootstraps
@@ -336,7 +336,7 @@ class TestBootstrapThread:
                 raise RuntimeError("bootstrap broke at replicate 4")
             if r == 3:
                 assert fourth_raised.wait(5)
-                in_flight.extend((thread, r) for thread, _, r in calls if r not in done)
+                in_flight.extend((thread, r) for thread, r in calls if r not in done)
                 time.sleep(0.05)
                 raise RuntimeError("bootstrap broke at replicate 3")
 
@@ -348,10 +348,54 @@ class TestBootstrapThread:
         # first; one bootstrap per thread was in flight, none started after
         assert sorted(r for _, r in in_flight) == [3, 4]
         assert len({thread for thread, _ in in_flight}) == 2
-        assert sorted(r for _, _, r in calls) == [0, 1, 2, 3, 4]
+        assert sorted(r for _, r in calls) == [0, 1, 2, 3, 4]
         assert raised.value.__context__ is None
         assert threading.active_count() == threads_before
-        assert mcquantile._live_helpers == 0
+
+    def test_row_spans_beside_a_busy_helper_match_one_core(self, monkeypatch, bootstraps):
+        # with unequal sigmas a new sorted-sigma order fills a new pool; its
+        # 2,000 rows run in 3 spans, the first time while the helper is held
+        # in its first bootstrap
+        _, hooks, _ = bootstraps
+        cfg = quick_scenario([0.0, 0.4, 0.9, 3.0], sigma=[0.6, 1.4, 0.8, 1.2], reps=6)
+        with monkeypatch.context() as patch:
+            patch.setattr(mcquantile, "_usable_cores", lambda: 1)
+            one_core = run_coverage(cfg)
+        monkeypatch.setattr(mcquantile, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(mcquantile, "_MIN_SPAN_ROWS", 500)
+        main = threading.current_thread()
+        held, split, released = threading.Event(), threading.Event(), threading.Event()
+        over_row_spans = mcquantile._over_row_spans
+
+        def hold_the_helper(r):
+            if threading.current_thread() is not main and not held.is_set():
+                held.set()
+                split.wait(5)
+                released.set()
+
+        def recording(n_rows, kernel):
+            assert held.wait(5)
+            spans = []
+
+            def recorded(start, stop):
+                spans.append(start)
+                kernel(start, stop)
+
+            over_row_spans(n_rows, recorded)
+            if len(spans) == 3 and not released.is_set():
+                split.set()
+
+        hooks.append(hold_the_helper)
+        monkeypatch.setattr(mcquantile, "_over_row_spans", recording)
+        report = run_coverage(cfg)
+        assert split.is_set()
+
+        def per_replicate(report):
+            return report.nestedness_violations, {
+                m: [np.asarray(getattr(stats, f.name)).tolist() for f in dataclasses.fields(stats)]
+                for m, stats in report.methods.items()}
+
+        assert per_replicate(report) == per_replicate(one_core)
 
     def test_concurrent_runs_match_serial_under_contention(self):
         # more runs than cores, each with its own bootstrap thread, and a
@@ -377,7 +421,6 @@ class TestBootstrapThread:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert concurrent == serial
-        assert mcquantile._live_helpers == 0
 
 
 class TestPoolReuse:
