@@ -28,7 +28,6 @@ from .mcquantile import (
     MC_SAMPLES_FLOOR,
     McPool,
     make_mc_pool,
-    restricted_max_quantile,
     studentized_range_quantile,
 )
 from .rankability import rankability_estimate, rankability_true
@@ -75,7 +74,6 @@ __all__ = [
     "rank_bounds_from_rejections",
     "rankability_estimate",
     "rankability_true",
-    "restricted_max_quantile",
     "run_coverage",
     "sequential_tukey",
     "spiegelhalter_pointwise",

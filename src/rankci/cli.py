@@ -8,7 +8,8 @@ value has one owner outside this module: every std_error must lie in
 two are normal floats, and a scenario file's keys go straight to
 :class:`~rankci.simharness.ScenarioConfig` and
 :class:`~rankci.bootstrap.BootstrapConfig`, which refuse what the file may not
-hold.  Their errors reach the user naming the row or the scenario file.
+hold; a key neither knows is refused here.  Their errors reach the user
+naming the row or the scenario file.
 ``rank`` runs its methods at alpha and 0.5 through the runner ``simulate``
 uses too (:func:`rankci.simharness.run_methods`); its table, JSON, TSV and
 plot data all render one output model built once from the result.
@@ -18,8 +19,9 @@ holds no time, so a rerun with the same flags and seed reproduces the bytes
 exactly.  An unwritable output path, a negative seed, ``--mc-samples``
 below ``MC_SAMPLES_FLOOR`` or ``--boot-samples`` below 1 (whatever the
 methods), ``--out json|tsv`` and ``--out-file`` given one without the
-other, or ``--trace`` without seqtukey among the methods ends the run with
-one ``error:`` line and exit status 2.
+other, or ``rank`` with ``--trace`` without seqtukey among the methods or
+with ``--alpha`` above 0.5 ends the run with one ``error:`` line and exit
+status 2.
 """
 
 import argparse
@@ -301,11 +303,13 @@ def _load_scenario(args) -> ScenarioConfig:
             spec = json.load(fh)
         if not isinstance(spec, dict):
             raise ValueError("must hold a JSON object defining 'mu'")
-        return ScenarioConfig(
-            mu=spec.get("mu"), sigma=spec.get("sigma", 1.0), alpha=spec.get("alpha", args.alpha),
-            methods=spec.get("methods", methods), name=spec.get("name", path),
-            boot=BootstrapConfig(n_boot=spec.get("n_boot", args.boot_samples)),
-            **{key: spec.get(key, default) for key, default in counts.items()})
+        defaults = dict(mu=None, sigma=1.0, alpha=args.alpha, methods=methods, name=path,
+                        n_boot=args.boot_samples, **counts)
+        unknown = [key for key in spec if key not in defaults]
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r}")
+        spec = {**defaults, **spec}
+        return ScenarioConfig(boot=BootstrapConfig(n_boot=spec.pop("n_boot")), **spec)
     except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise IngestError(f"scenario file {path}: {exc}") from exc
 
@@ -371,6 +375,10 @@ def main(argv=None) -> int:
             raise IngestError("--out json/tsv and --out-file must be given together")
         if getattr(args, "trace", False) and args.method not in ("seqtukey", "all"):
             raise IngestError("--trace prints seqtukey's rounds; use --method seqtukey or all")
+        if args.command == "rank" and args.alpha > 0.5:
+            # a CI at a level above 0.5 would lie wholly above the level-0.5 point estimate
+            raise IngestError("rank's --alpha must be at most 0.5, the level of its rankability "
+                              "point estimate")
         if args.mc_samples < MC_SAMPLES_FLOOR:
             raise IngestError(f"--mc-samples must be at least {MC_SAMPLES_FLOOR}")
         if args.boot_samples < 1:

@@ -33,7 +33,6 @@ __all__ = [
     "McPool",
     "make_mc_pool",
     "studentized_range_quantile",
-    "restricted_max_quantile",
     "DEFAULT_MC_SAMPLES",
     "MC_SAMPLES_FLOOR",
 ]
@@ -414,29 +413,3 @@ def rows_reaching(pool: McPool, alpha: float):
     rows, full, negative = kept
     return pool.take_rows(rows), full, negative, pool.n_samples - rows.size
 
-
-def restricted_max_quantile(pool: McPool, pairs: np.ndarray, alpha: float) -> float:
-    """Empirical (1-alpha)-quantile of the maximum over a restricted pair set.
-
-    ``pairs`` is a boolean ``(n, n)`` mask over the pool's columns with a
-    False diagonal.  The statistic per pool row is
-    ``max over pairs[i, j] of (Y_i - Y_j) / sqrt(sigma_i^2 + sigma_j^2)``
-    (signed, so one-sided hypotheses are represented faithfully).  On a fixed
-    pool the result is exactly non-decreasing in the pair set.
-
-    Raises
-    ------
-    ValueError
-        If the mask is not ``(n, n)`` for this pool, is empty, or holds a
-        diagonal pair.
-    """
-    pairs = np.asarray(pairs, dtype=bool)
-    n = pool.n_centers
-    if pairs.shape != (n, n):
-        raise ValueError(f"pair mask must have shape ({n}, {n}), got {pairs.shape}")
-    if pairs.diagonal().any():
-        raise ValueError("pair (i, i) is not a valid hypothesis")
-    if not pairs.any():
-        raise ValueError("pair set is empty: no hypothesis left to calibrate")
-    i_idx, j_idx = np.nonzero(pairs)
-    return empirical_quantile(pair_row_maxima(pool, i_idx, j_idx), alpha)

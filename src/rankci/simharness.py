@@ -24,8 +24,6 @@ bootstraps and scores it, so each replicate is bootstrapped once.  An error
 is raised once, in the calling thread.
 
 ``rank`` and ``simulate`` run their methods through :func:`run_methods`.
-When seqtukey runs, Tukey's rejections are those of its round one, which
-on a shared pool are exactly the single-step ones.
 
 Two coverage criteria are kept side by side: the normative one scores
 containment of the true set-ranks; the legacy index criterion scores
@@ -46,12 +44,10 @@ from .bootstrap import BootstrapConfig, _check_bootstraps_fit, zhang_simultaneou
 from .core import (
     KNOWN_METHODS,
     CenterSample,
-    SimultaneousRankCIs,
     _as_float_vector,
     _as_sigma_vector,
     _is_real,
     _whole_number,
-    rank_bounds_from_rejections,
     true_set_ranks,
     truth_partition,
 )
@@ -64,8 +60,7 @@ from .mcquantile import (
 )
 from .rankability import rankability_estimate, rankability_true
 from .seqtukey import sequential_tukey
-# tukey_rank_cis is uncalled here; perfbench/tracer.py patches it by this name
-from .tukey import tukey_rank_cis, tukey_rejected_pairs  # noqa: F401
+from .tukey import tukey_rank_cis, tukey_rejected_pairs
 
 __all__ = [
     "ScenarioConfig",
@@ -280,14 +275,8 @@ def run_methods(sample: CenterSample, methods, levels, pool, zhang) -> dict:
         runs["seqtukey"] = [(cis, trace.final_rejected, trace) for cis, trace in
                             (sequential_tukey(sample, level, shared) for level in levels)]
     if "tukey" in methods:
-        runs["tukey"] = []
-        for k, level in enumerate(levels):
-            steps = runs["seqtukey"][k][2].steps if "seqtukey" in runs else ()
-            # round one of seqtukey makes exactly Tukey's rejections on the shared pool
-            rejected = (steps[0].newly_rejected if steps
-                        else tukey_rejected_pairs(sample, level, shared))
-            cis = SimultaneousRankCIs(tuple(rank_bounds_from_rejections(rejected)), level, "tukey")
-            runs["tukey"].append((cis, rejected, None))
+        runs["tukey"] = [(tukey_rank_cis(sample, level, shared),
+                          tukey_rejected_pairs(sample, level, shared), None) for level in levels]
     if "zhang" in methods:
         runs["zhang"] = [(res.cis, None, res) for res in zhang()]
     return {m: runs[m] for m in methods}

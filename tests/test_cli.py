@@ -289,6 +289,31 @@ class TestCmdRank:
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: --trace")
 
+    def test_alpha_above_half_fails_before_any_work(self, monkeypatch, capsys):
+        # the parent printed "1% CI [1.0000, 1]; point estimate at level 0.5: 0.3333", exit 0
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started before --alpha was checked")
+
+        monkeypatch.setattr("rankci.cli.ingest_estimates", no_work)
+        monkeypatch.setattr("rankci.cli._run_methods", no_work)
+        assert main(["rank", "--input", "unread.csv", "--method", "all", "--alpha", "0.99"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: rank's --alpha must be at most 0.5")
+
+    def test_alpha_half_gives_a_ci_from_the_point_estimate(self, tmp_path, capsys):
+        path = tmp_path / "close.csv"
+        path.write_text("id,estimate,std_error\na,1.0,1.0\nb,2.0,1.0\nc,3.0,1.0\n")
+        assert main(["rank", "--input", str(path), "--method", "all", "--alpha", "0.5",
+                     "--mc-samples", "2000", "--boot-samples", "300"]) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("rankability:")]
+        assert len(lines) == 3
+        for line in lines:
+            lower = line.split("CI [")[1].split(",")[0]
+            assert line.endswith(f"point estimate at level 0.5: {lower}")
+
     def test_trace_flag_with_all_methods(self, estimates_file, capsys):
         rc = main(["rank", "--input", estimates_file, "--method", "all",
                    "--mc-samples", "5000", "--boot-samples", "200", "--seed", "3", "--trace"])
@@ -536,7 +561,7 @@ class TestBootstrapBesidePool:
     def test_alpha_out_of_range_raises_on_both_threads(self, estimates_file, capsys):
         line = self._one_error_line(["rank", "--input", estimates_file, "--method", "all",
                                      "--mc-samples", "2000", "--boot-samples", "500",
-                                     "--alpha", "1.5"], capsys)
+                                     "--alpha", "0"], capsys)
         assert "alpha" in line
 
 
@@ -567,7 +592,9 @@ class TestCmdSimulate:
     @pytest.mark.parametrize("spec", [
         {"mu": 5}, {"mu": [1, 2], "sigma": None}, "mu",
         {"mu": [1, 2], "alpha": None}, {"mu": [1, 2], "methods": 5},
-    ], ids=["scalar-mu", "null-sigma", "top-level-string", "null-alpha", "scalar-methods"])
+        {"mu": [0, 1, 2], "reps": 3, "mc_sample": 5, "maxiter": 1},
+    ], ids=["scalar-mu", "null-sigma", "top-level-string", "null-alpha", "scalar-methods",
+            "unknown-key"])
     def test_malformed_scenario_file_exits_with_one_line(self, tmp_path, capsys, spec):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(spec))
@@ -575,6 +602,8 @@ class TestCmdSimulate:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: scenario file ") and err.count("\n") == 1
+        if "mc_sample" in spec:
+            assert err == f"error: scenario file {path}: unknown key 'mc_sample'\n"
 
     @pytest.mark.parametrize("key, value", [
         ("reps", 2.9), ("reps", True), ("seed", True), ("seed", 0.5), ("seed", None),

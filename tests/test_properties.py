@@ -46,9 +46,9 @@ from rankci.mcquantile import (
     full_row_maxima,
     negative_row_maxima,
     pair_row_maxima,
-    restricted_max_quantile,
 )
 from rankci.seqtukey import _row_maxima_from
+from oracles import restricted_max_quantile
 
 pytestmark = pytest.mark.filterwarnings("ignore:observed estimates contain exact ties")
 

@@ -7,10 +7,11 @@ import pytest
 
 from rankci import mcquantile
 from rankci.core import CenterSample, rank_bounds_from_rejections
-from rankci.mcquantile import McPool, make_mc_pool, pair_row_maxima, restricted_max_quantile
+from rankci.mcquantile import McPool, make_mc_pool, pair_row_maxima
 from rankci.seqtukey import sequential_tukey
 from rankci.simharness import preset_scenario, run_coverage
 from rankci.tukey import tukey_rank_cis, tukey_rejected_pairs
+from oracles import restricted_max_quantile
 
 
 def mask(n, pairs):
@@ -187,7 +188,7 @@ class TestSequentialTukey:
         # round 1 uses the full studentized-range quantile; every later round
         # must equal the restricted-max quantile over the unrejected
         # positives plus all negatives, evaluated on the same pool
-        from rankci.mcquantile import restricted_max_quantile, studentized_range_quantile
+        from rankci.mcquantile import studentized_range_quantile
 
         s, pool = random_instance(seed, n_lo=4, n_hi=9)
         _, trace = sequential_tukey(s, 0.05, pool)

@@ -529,7 +529,7 @@ class TestRunMethods:
         assert calls == ["zhang"]
         assert runs["zhang"] == [(res.cis, None, res) for res in zhang()]
 
-    def test_rank_all_takes_tukey_from_seqtukey_round_one(self, tmp_path, monkeypatch, capsys):
+    def test_rank_all_calls_tukey_at_both_levels(self, tmp_path, monkeypatch):
         calls = []
 
         def counted(*args):
@@ -542,11 +542,11 @@ class TestRunMethods:
         path = tmp_path / "centers.csv"
         path.write_text("id,estimate,std_error\na,0.0,1.0\nb,3.0,0.8\nc,9.0,1.2\n")
         argv = ["rank", "--input", str(path), "--mc-samples", "2000", "--boot-samples", "300"]
-        assert main(argv + ["--method", "all"]) == 0
-        assert calls == []
-        # the counter sees the single-step route when seqtukey does not run
-        assert main(argv + ["--method", "tukey"]) == 0
-        assert [args[1] for args in calls] == [0.05, 0.5]
+        # one route whichever other methods run: the CIs, then the mask, at each level
+        for method in ("all", "tukey"):
+            calls.clear()
+            assert main(argv + ["--method", method]) == 0
+            assert [args[1] for args in calls] == [0.05, 0.05, 0.5, 0.5]
 
 
 class TestRunComparison:
