@@ -11,11 +11,14 @@ method is reproduced faithfully, not repaired.
 The joint method never reads the Monte-Carlo pool, so it runs beside the
 pool work: ``rank`` runs it in a thread of its own beside the pool fill and
 the Tukey kernels, and ``simulate`` shares its replicates' bootstraps
-between one helper thread per call and the calling thread.  It draws and
-scales the K replicates a chunk of rows at a time, and turns each chunk's
-stable sort order straight into cells of one count table
-(:class:`RankCounts`), so no rank matrix is built and each bisection step
-is one O(K) count; ``rank`` bisects both its levels on it.  The tests
+between one helper thread per call and the calling thread.  Everything it
+holds adds to the pool's peak, so it is kept compact: it draws and scales
+the K replicates a chunk at a time, each chunk a budget of values rather
+than of rows, stores each replicate's stable sort order in the smallest
+unsigned type that holds n - 1 (``uint8`` up to n = 256), and counts the
+cells of one n x (n+1) table (:class:`RankCounts`) from each chunk's
+orders as they are made, so no rank matrix is built and each bisection
+step is one O(K) count; ``rank`` bisects both its levels on it.  The tests
 keep the table's definition from a rank matrix, which the draw must match.
 """
 
@@ -31,8 +34,9 @@ from .mcquantile import _check_fits_memory
 __all__ = ["BootstrapConfig", "RankCounts", "ZhangResult", "make_bootstrap_draws",
            "spiegelhalter_pointwise", "zhang_simultaneous"]
 
-#: Bootstrap replicates drawn, scaled, sorted and counted at a time.
-_RANK_CHUNK_ROWS = 4096
+#: Values of a K x n array (draws, sort orders or cells) handled at a time:
+#: 4096 rows at n = 10.
+_CHUNK_VALUES = 40_960
 
 
 @dataclass(frozen=True)
@@ -85,13 +89,33 @@ def make_bootstrap_draws(sample: CenterSample, cfg: BootstrapConfig) -> np.ndarr
     return rng.standard_normal((cfg.n_boot, sample.n)) * sample.sigma[None, :] + sample.y[None, :]
 
 
+def _chunk_rows(n: int) -> int:
+    """Rows of a K x n chunk: the value budget, but at least n + 1 rows.
+
+    The floor keeps a chunk's ``bincount`` over the n(n+1) table cells no
+    dearer than the chunk itself.
+    """
+    return max(_CHUNK_VALUES // n, n + 1)
+
+
+def _row_chunks(a: np.ndarray):
+    """Consecutive row views of the K x n array ``a``, :func:`_chunk_rows` rows each."""
+    step = _chunk_rows(a.shape[1])
+    return (a[start:start + step] for start in range(0, len(a), step))
+
+
 def _check_bootstraps_fit(n: int, n_boot: int, copies: int = 1) -> None:
     """Refuse ``copies`` bootstraps of ``n_boot`` x ``n`` that physical memory cannot hold at once.
 
-    One bootstrap holds the ``int32`` cell matrix, the two K-vectors of its
-    :class:`RankCounts` and one chunk's temporaries.
+    One bootstrap holds the compact sort orders, the two K-vectors of its
+    :class:`RankCounts` (at most 8 bytes a replicate), the n x (n+1) table
+    (its ``intp`` counts, one chunk's ``bincount``, ``at_most`` and its
+    shifted copy, at most 8 bytes a cell each) and one chunk's 16 bytes a
+    value (draw and sort order, or cells and one lookup).
     """
-    need = n_boot * (n + 2) * 4 + min(_RANK_CHUNK_ROWS, n_boot) * n * 32
+    order_bytes = np.min_scalar_type(n - 1).itemsize
+    need = (n_boot * (n * order_bytes + 16) + n * (n + 1) * 32
+            + min(_chunk_rows(n), n_boot) * n * 16)
     what = f"{n_boot} x {n} replicates"
     what = f"a bootstrap of {what}" if copies == 1 else f"running {copies} bootstraps of {what} at once"
     _check_fits_memory(copies * need, what, "--boot-samples")
@@ -107,34 +131,56 @@ def _draw_chunks(sample: CenterSample, cfg: BootstrapConfig):
     overwritten by the next.
     """
     rng = np.random.default_rng(cfg.seed)
-    chunk = np.empty((min(_RANK_CHUNK_ROWS, cfg.n_boot), sample.n))
-    for start in range(0, cfg.n_boot, _RANK_CHUNK_ROWS):
-        rows = rng.standard_normal(out=chunk[: min(_RANK_CHUNK_ROWS, cfg.n_boot - start)])
+    step = _chunk_rows(sample.n)
+    chunk = np.empty((min(step, cfg.n_boot), sample.n))
+    for start in range(0, cfg.n_boot, step):
+        rows = rng.standard_normal(out=chunk[: min(step, cfg.n_boot - start)])
         rows *= sample.sigma
         rows += sample.y
         yield rows
 
 
-def _order_cells(chunks, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The table cell of every entry of K x n draws given as row chunks, and the count of each cell.
+def _sort_orders(chunks, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sort order of each row of K x n draws given as row chunks, and the cell counts.
 
     A row's stable argsort order lists its centers by rank, ties by
     position, so the center at position p has rank p + 1 and its cell of
     the flattened n x (n+1) table is ``order[k, p] * (n + 1) + p + 1``.
-    Cells are stored by position, as ``int32``, and each chunk's cells are
-    counted as they are made; no chunk outlives the call.
+    Orders are stored by position in the smallest unsigned type that holds
+    n - 1 (``uint8`` up to n = 256), and each chunk's cells are counted, in
+    the n x (n+1) table, as they are made; no chunk outlives the call.
     """
-    cells = np.empty((k, n), dtype=np.int32)
+    orders = np.empty((k, n), dtype=np.min_scalar_type(n - 1))
     counts = np.zeros(n * (n + 1), dtype=np.intp)
-    positions = np.arange(1, n + 1, dtype=np.int32)
+    positions = np.arange(1, n + 1)
     start = 0
     for rows in chunks:
-        out = cells[start:start + len(rows)]
-        np.multiply(np.argsort(rows, axis=1, kind="stable"), n + 1, out=out, casting="same_kind")
-        out += positions
-        counts += np.bincount(out.ravel(), minlength=counts.size)
+        order = np.argsort(rows, axis=1, kind="stable")
+        orders[start:start + len(rows)] = order
+        order *= n + 1
+        order += positions
+        counts += np.bincount(order.ravel(), minlength=counts.size)
         start += len(rows)
-    return cells, counts
+        del order  # before the next chunk's order is made
+    return orders, counts.reshape(n, n + 1)
+
+
+def _cells(orders: np.ndarray):
+    """Yield the table cells of K x n sort orders (:func:`_sort_orders`) a row chunk at a time.
+
+    Each chunk's cells are laid out centers x rows, C-contiguous, as
+    :meth:`RankCounts._of_cells` reads them, in one buffer that the next
+    chunk overwrites.  The orders are widened to ``intp`` before they are
+    scaled: NEP 50 keeps ``uint8 * int`` in ``uint8``, which would wrap.
+    """
+    n = orders.shape[1]
+    positions = np.arange(1, n + 1)[:, None]
+    buffer = np.empty(min(_chunk_rows(n), len(orders)) * n, dtype=np.intp)
+    for chunk in _row_chunks(orders):
+        cells = buffer[:chunk.size].reshape(n, len(chunk))
+        np.multiply(chunk.T, n + 1, dtype=np.intp, out=cells)
+        cells += positions
+        yield cells
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,27 +201,35 @@ class RankCounts:
     def draw(cls, sample: CenterSample, cfg: BootstrapConfig) -> "RankCounts":
         """The counts of the replicates :func:`zhang_simultaneous` draws for ``(sample, cfg)``."""
         _check_bootstraps_fit(sample.n, cfg.n_boot)
-        return cls._of_cells(*_order_cells(_draw_chunks(sample, cfg), cfg.n_boot, sample.n))
+        return cls._of_orders(_draw_chunks(sample, cfg), cfg.n_boot, sample.n)
 
     @classmethod
-    def _of_cells(cls, cells: np.ndarray, counts: np.ndarray) -> "RankCounts":
-        """Build the table from the K x n cells and their counts, then both K-vectors a chunk at a time.
+    def _of_orders(cls, chunks, k: int, n: int) -> "RankCounts":
+        """The counts of K x n draws given as row chunks, read back from their sort orders."""
+        orders, counts = _sort_orders(chunks, k, n)
+        return cls._of_cells(counts, k, _cells(orders))
 
-        The cell below cell c is c - 1, so ``most_below`` reads the flattened
-        table shifted one place on; a cell's rank is at least 1, so the
-        wrapped first entry is never read.
+    @classmethod
+    def _of_cells(cls, counts: np.ndarray, k: int, cell_chunks) -> "RankCounts":
+        """Build the table from the cell counts, then both K-vectors from the cells, chunk by chunk.
+
+        ``counts`` is the n x (n+1) table of cell counts and ``cell_chunks``
+        yields the transposes of consecutive row chunks of the K x n cells,
+        centers x rows, so reducing over centers is elementwise over rows.
+        The cell below cell c is c - 1, so ``most_below`` reads the
+        flattened table shifted one place on; a cell's rank is at least 1,
+        so the wrapped first entry is never read.
         """
-        k, n = cells.shape
         count_type = np.int32 if k < 2**31 else np.int64
-        at_most = np.cumsum(counts.reshape(n, n + 1), axis=1, dtype=count_type)
+        at_most = np.cumsum(counts, axis=1, dtype=count_type)
         below = np.roll(at_most, 1)
         fewest, most_below = np.empty((2, k), dtype=count_type)
-        for start in range(0, k, _RANK_CHUNK_ROWS):
-            rows = slice(start, start + _RANK_CHUNK_ROWS)
-            # centers x rows: reducing over centers is elementwise over rows
-            chunk = cells[rows].T
-            np.min(np.take(at_most, chunk), axis=0, out=fewest[rows])
-            np.max(np.take(below, chunk), axis=0, out=most_below[rows])
+        start = 0
+        for cells in cell_chunks:
+            rows = slice(start, start + cells.shape[1])
+            np.min(np.take(at_most, cells), axis=0, out=fewest[rows])
+            np.max(np.take(below, cells), axis=0, out=most_below[rows])
+            start = rows.stop
         return cls(at_most, fewest, most_below)
 
     def _indices(self, beta: float) -> tuple[int, int]:
@@ -209,9 +263,8 @@ def spiegelhalter_pointwise(sample: CenterSample, beta: float,
     if len(boot_draws) * (beta / 2.0) < 1.5:
         warnings.warn(f"n_boot={len(boot_draws)} is too small to resolve beta={beta:g}; "
                       "quantile indices collapse to the extremes", stacklevel=2)
-    k = len(boot_draws)
-    chunks = (boot_draws[start:start + _RANK_CHUNK_ROWS] for start in range(0, k, _RANK_CHUNK_ROWS))
-    return list(RankCounts._of_cells(*_order_cells(chunks, k, sample.n)).intervals(beta))
+    ranked = RankCounts._of_orders(_row_chunks(boot_draws), len(boot_draws), sample.n)
+    return list(ranked.intervals(beta))
 
 
 def zhang_simultaneous(sample: CenterSample, alpha: float, cfg: BootstrapConfig,

@@ -43,9 +43,6 @@ DEFAULT_MC_SAMPLES = 100_000
 #: Hard floor below which quantile estimates are too noisy to trust.
 MC_SAMPLES_FLOOR = 1_000
 
-#: Pool rows drawn from the generator at a time while the pool is filled.
-_DRAW_CHUNK_ROWS = 4096
-
 #: Fewest pool rows a row-maxima thread is given; smaller pools run in one span.
 _MIN_SPAN_ROWS = 25_000
 
@@ -120,6 +117,15 @@ def _check_fits_memory(need: int, what: str, flag: str) -> None:
         )
 
 
+def _draw_chunk_rows(n: int) -> int:
+    """Pool rows drawn from the generator at a time while a pool of n centers is filled.
+
+    4096 rows up to n = 128; above, the draw buffer beside the pool is held
+    to 2**19 values (4 MiB).  Smaller chunks at narrow n draw more slowly.
+    """
+    return max(1, min(4096, 2**19 // n))
+
+
 def make_mc_pool(sigma, n_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0) -> McPool:
     """Draw the reusable pool of centered Gaussians, one column per center.
 
@@ -145,9 +151,10 @@ def make_mc_pool(sigma, n_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0) -> M
     # of rows hold the values of a single (n_samples, n) draw; each chunk is
     # scaled and stored transposed in the column-major buffer
     cols = np.empty((sigma.size, n_samples))
-    chunk = np.empty((min(_DRAW_CHUNK_ROWS, n_samples), sigma.size))
-    for start in range(0, n_samples, _DRAW_CHUNK_ROWS):
-        stop = min(start + _DRAW_CHUNK_ROWS, n_samples)
+    step = _draw_chunk_rows(sigma.size)
+    chunk = np.empty((min(step, n_samples), sigma.size))
+    for start in range(0, n_samples, step):
+        stop = min(start + step, n_samples)
         rows = rng.standard_normal(out=chunk[: stop - start])
         np.multiply(rows.T, sigma[:, None], out=cols[:, start:stop])
     return McPool(cols, sigma, int(seed))

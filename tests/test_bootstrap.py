@@ -37,11 +37,13 @@ def rank_counts_of(ranks):
     """The RankCounts of K x n 1-based ranks; center i at rank v is cell ``i * (n + 1) + v``.
 
     The definition the draw is tested against: ``RankCounts.draw`` counts the
-    same cells straight from each replicate's sort order.
+    same cells straight from each replicate's sort order.  The cells are read
+    back in the row chunks the draw reads its orders back in.
     """
-    n = ranks.shape[1]
+    k, n = ranks.shape
     cells = ranks + np.arange(0, n * (n + 1), n + 1, dtype=np.int32)
-    return RankCounts._of_cells(cells, np.bincount(cells.ravel(), minlength=n * (n + 1)))
+    counts = np.bincount(cells.ravel(), minlength=n * (n + 1)).reshape(n, n + 1)
+    return RankCounts._of_cells(counts, k, (chunk.T for chunk in bootstrap._row_chunks(cells)))
 
 
 def assert_same_counts(got, expected):
@@ -73,7 +75,7 @@ class TestIntervalBounds:
 
     @pytest.mark.parametrize("k", [1, 2, 37, 1000])
     def test_one_column_per_bound_matches_per_row_quantiles(self, monkeypatch, k):
-        monkeypatch.setattr(bootstrap, "_RANK_CHUNK_ROWS", 7)
+        monkeypatch.setattr(bootstrap, "_CHUNK_VALUES", 7)
         rng = np.random.default_rng(k)
         ranks = rng.integers(1, 9, size=(k, 8), dtype=np.int32)
         sorted_ranks = np.sort(ranks.T, axis=1)
@@ -165,11 +167,12 @@ class TestCountTableBisection:
                                                      chunk_rows):
         k, n = ranks.shape
         cfg = BootstrapConfig(n_boot=k, precision=precision, maxiter=maxiter)
-        old_chunk, bootstrap._RANK_CHUNK_ROWS = bootstrap._RANK_CHUNK_ROWS, chunk_rows
+        # chunks of chunk_rows rows, but never fewer than the n + 1 floor
+        old_budget, bootstrap._CHUNK_VALUES = bootstrap._CHUNK_VALUES, chunk_rows * n
         try:
             counts = rank_counts_of(ranks)
         finally:
-            bootstrap._RANK_CHUNK_ROWS = old_chunk
+            bootstrap._CHUNK_VALUES = old_budget
         # the table and both K-vectors, against their definitions
         v = np.arange(n + 1)
         at_most = (ranks.T[:, :, None] <= v[None, None, :]).sum(axis=1)
@@ -206,8 +209,9 @@ class TestCountTableBisection:
             assert (res.achieved_coverage, res.beta_final, res.iterations) \
                 == (achieved, beta, iterations)
 
-    def test_peak_memory_is_the_rank_matrix_and_what_the_guard_counts(self, monkeypatch):
-        n, k = 20, 200_000
+    @staticmethod
+    def peak_and_guarded(monkeypatch, n, k):
+        """The tracemalloc peak of one zhang_simultaneous call, and what the memory guard counted."""
         s = CenterSample.from_observations(np.arange(n) * 0.3, np.ones(n))
         guarded = []
         check = bootstrap._check_fits_memory
@@ -216,6 +220,8 @@ class TestCountTableBisection:
             guarded.append(need)
             check(need, *args)
 
+        # a first call's lazy imports are no part of the bootstrap's peak
+        zhang_simultaneous(s, 0.05, BootstrapConfig(n_boot=100, seed=1))
         monkeypatch.setattr(bootstrap, "_check_fits_memory", recorded)
         tracemalloc.start()
         try:
@@ -223,9 +229,22 @@ class TestCountTableBisection:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert len(guarded) == 1
+        return peak, guarded[0]
+
+    def test_peak_memory_is_the_rank_matrix_and_what_the_guard_counts(self, monkeypatch):
+        n, k = 20, 200_000
+        peak, guarded = self.peak_and_guarded(monkeypatch, n, k)
         assert peak <= 1.3 * k * n * 4
         # the memory guard counts at least the peak it guards
-        assert len(guarded) == 1 and peak <= guarded[0]
+        assert peak <= guarded
+
+    @pytest.mark.parametrize("n, limit", [(50, 2 * 2**20), (300, 12 * 2**20)])
+    def test_peak_memory_at_wide_n_is_the_compact_orders(self, monkeypatch, n, limit):
+        # K = 1e4 int32 cells alone take 1.9 MiB at n = 50 and 11.4 MiB at n = 300;
+        # the n x (n+1) table and a chunk of n + 1 rows fit beside uint8/uint16 orders
+        peak, guarded = self.peak_and_guarded(monkeypatch, n, 10_000)
+        assert peak <= limit and peak <= guarded
 
 
 class TestChunkedRanks:
@@ -235,7 +254,8 @@ class TestChunkedRanks:
                              ids=["partial-last-chunk", "whole-chunks", "below-one-chunk",
                                   "one-center", "one-center-partial-chunk"])
     def test_equals_ranks_of_the_full_draw(self, monkeypatch, n, k):
-        monkeypatch.setattr(bootstrap, "_RANK_CHUNK_ROWS", 7)
+        monkeypatch.setattr(bootstrap, "_CHUNK_VALUES", 7 * n)
+        assert bootstrap._chunk_rows(n) == 7
         rng = np.random.default_rng(n * 100 + k)
         s = CenterSample.from_observations(rng.normal(size=n), rng.uniform(0.5, 1.5, n))
         cfg = BootstrapConfig(n_boot=k, seed=k)
@@ -244,7 +264,8 @@ class TestChunkedRanks:
 
     def test_default_chunk_size_with_a_partial_last_chunk(self):
         s = CenterSample.from_observations(NEAR_TIED, [1.0] * 10)
-        cfg = BootstrapConfig(n_boot=bootstrap._RANK_CHUNK_ROWS * 2 + 3, seed=1)
+        assert bootstrap._chunk_rows(10) == 4096
+        cfg = BootstrapConfig(n_boot=bootstrap._chunk_rows(10) * 2 + 3, seed=1)
         assert_same_counts(RankCounts.draw(s, cfg),
                            rank_counts_of(rank_rows(make_bootstrap_draws(s, cfg))))
 
@@ -262,13 +283,30 @@ class TestChunkedRanks:
         cfg = BootstrapConfig(n_boot=k, seed=seed)
         draws = make_bootstrap_draws(s, cfg)
         expected = rank_counts_of(rank_rows(draws))
-        old_chunk, bootstrap._RANK_CHUNK_ROWS = bootstrap._RANK_CHUNK_ROWS, chunk_rows
+        # chunks of chunk_rows rows, but never fewer than the n + 1 floor
+        old_budget, bootstrap._CHUNK_VALUES = bootstrap._CHUNK_VALUES, chunk_rows * n
         try:
             assert_same_counts(RankCounts.draw(s, cfg), expected)
             # the pointwise method counts a given draw by the same route
             assert spiegelhalter_pointwise(s, beta, draws) == list(expected.intervals(beta))
         finally:
-            bootstrap._RANK_CHUNK_ROWS = old_chunk
+            bootstrap._CHUNK_VALUES = old_budget
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_equals_ranks_where_the_orders_widen(self, monkeypatch, n):
+        # the orders are uint8 up to n = 256 and uint16 from n = 257; a cell
+        # computed in either type (255 * 257, 256 * 258) would wrap
+        assert np.min_scalar_type(n - 1) == (np.uint8 if n == 256 else np.uint16)
+        monkeypatch.setattr(bootstrap, "_CHUNK_VALUES", 1)
+        assert bootstrap._chunk_rows(n) == n + 1
+        rng = np.random.default_rng(n)
+        s = CenterSample.from_observations(0.01 * rng.normal(size=n), rng.uniform(0.5, 1.5, n))
+        # two whole chunks of n + 1 rows and a partial last one
+        cfg = BootstrapConfig(n_boot=2 * (n + 1) + 5, seed=n)
+        draws = make_bootstrap_draws(s, cfg)
+        expected = rank_counts_of(rank_rows(draws))
+        assert_same_counts(RankCounts.draw(s, cfg), expected)
+        assert spiegelhalter_pointwise(s, 0.2, draws) == list(expected.intervals(0.2))
 
     @pytest.mark.filterwarnings("ignore:observed estimates contain exact ties")
     @pytest.mark.parametrize("y", [[0.25], [0.25] * 7, [0.5, 0.25, 0.75] * 6],
@@ -294,7 +332,7 @@ class TestChunkedRanks:
         s = CenterSample.from_observations(NEAR_TIED, [1.0] * 10)
         cfg = BootstrapConfig(n_boot=2000, seed=3)
         whole = zhang_simultaneous(s, 0.05, cfg)
-        monkeypatch.setattr(bootstrap, "_RANK_CHUNK_ROWS", 7)
+        monkeypatch.setattr(bootstrap, "_CHUNK_VALUES", 7)
         chunked = zhang_simultaneous(s, 0.05, cfg)
         assert chunked == whole
 

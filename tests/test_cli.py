@@ -4,6 +4,7 @@ import os
 import re
 import threading
 
+import numpy as np
 import pytest
 
 from rankci import bootstrap
@@ -781,6 +782,7 @@ class TestGoldenBytes:
     SIMULATE_TSV_SHA256 = "fd4152d690e86aa20bebb53f87449705ce310cbe3abfd6ed3eac74ab52bf1546"
     SIMULATE_TABLE_SHA256 = "533babca78f9c51a8dfd2449a4865d32d5dc8025cb734bcb031c7128cb65d8b6"
     SIMULATE_PAPER3_SHA256 = "a544de71a4e926d5e935ee77c6374a25fb389ce7cfec66933e005288883d70ee"
+    RANK_WIDE_ZHANG_SHA256 = "dc6b219182650a1f32f65b0127816c76f0c692f978c111ab0e9d9a6aea09281e"
 
     def test_rank_all_json(self, golden_dir, capsys):
         rc = main(GOLDEN_RANK_ARGS + ["--out", "json", "--out-file", "rank.json"])
@@ -802,6 +804,19 @@ class TestGoldenBytes:
         rc = main(GOLDEN_RANK_ARGS + flags + ["--out", "json", "--out-file", "rank.json"])
         assert rc == 0
         assert _sha256((golden_dir / "rank.json").read_bytes()) == expected
+
+    def test_rank_zhang_json_at_wide_n(self, golden_dir, capsys):
+        # n = 300: each replicate's sort order is stored as uint16, not uint8
+        rng = np.random.default_rng(300)
+        sigma = rng.uniform(0.5, 1.5, 300)
+        y = 0.1 * np.arange(300) + sigma * rng.standard_normal(300)
+        lines = [f"w{i:03d},{float(y[i])!r},{float(sigma[i])!r}" for i in range(300)]
+        (golden_dir / "centers300.csv").write_text("id,estimate,std_error\n" + "\n".join(lines)
+                                                   + "\n")
+        rc = main(["rank", "--input", "centers300.csv", "--method", "zhang", "--boot-samples",
+                   "2000", "--seed", "7", "--out", "json", "--out-file", "rank.json"])
+        assert rc == 0
+        assert _sha256((golden_dir / "rank.json").read_bytes()) == self.RANK_WIDE_ZHANG_SHA256
 
     def test_rank_all_tsv_plot_data_and_table(self, golden_dir, capsys):
         rc = main(GOLDEN_RANK_ARGS + ["--out", "tsv", "--out-file", "rank.tsv",

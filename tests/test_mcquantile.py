@@ -90,11 +90,22 @@ class TestMakeMcPool:
     def test_draws_bytes_pinned(self):
         # the row-major bytes of the pool: PCG64 stream order, per-column
         # scale, and a row count that fills no whole number of chunks
-        assert 20_001 % mcquantile._DRAW_CHUNK_ROWS and 20_001 > mcquantile._DRAW_CHUNK_ROWS
+        rows = mcquantile._draw_chunk_rows(7)
+        assert 20_001 % rows and 20_001 > rows
         sigma = np.random.default_rng(8).uniform(0.5, 1.5, 7)
         pool = make_mc_pool(sigma, 20_001, seed=29)
         assert hashlib.sha256(pool.draws.tobytes()).hexdigest() == (
             "85937b838e9cfe2d89e5dab42569af517131c4ba9f1ddadae9a73b076d147c6d")
+
+    def test_wide_pool_is_one_draw_in_smaller_chunks(self):
+        # above n = 128 the chunks hold fewer than 4096 rows; here 2621, so
+        # 6000 rows fill two whole chunks and a partial one
+        n, rows = 200, 6_000
+        assert mcquantile._draw_chunk_rows(n) == 2621
+        sigma = np.random.default_rng(9).uniform(0.5, 1.5, n)
+        pool = make_mc_pool(sigma, rows, seed=30)
+        expected = np.random.default_rng(30).standard_normal((rows, n)) * sigma
+        assert np.array_equal(pool.draws, expected)
 
     def test_one_read_only_buffer(self):
         pool = make_mc_pool([1.0, 2.0, 0.5], 5_000, seed=1)
