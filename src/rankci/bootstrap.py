@@ -15,11 +15,11 @@ between one helper thread per call and the calling thread.  Everything it
 holds adds to the pool's peak, so it is kept compact: it draws and scales
 the K replicates a chunk at a time, each chunk a budget of values rather
 than of rows, stores each replicate's stable sort order in the smallest
-unsigned type that holds n - 1 (``uint8`` up to n = 256), and counts the
-cells of one n x (n+1) table (:class:`RankCounts`) from each chunk's
-orders as they are made, so no rank matrix is built and each bisection
-step is one O(K) count; ``rank`` bisects both its levels on it.  The tests
-keep the table's definition from a rank matrix, which the draw must match.
+unsigned type that holds n - 1 (``uint8`` up to n = 256), and counts
+each chunk's (rank, center) cells into one table (:class:`RankCounts`) as
+they are made, so no rank matrix is built and each bisection step is one
+O(K) count; ``rank`` bisects both its levels on it.  The tests keep the
+table's definition from a rank matrix, which the draw must match.
 """
 
 import math
@@ -90,12 +90,12 @@ def make_bootstrap_draws(sample: CenterSample, cfg: BootstrapConfig) -> np.ndarr
 
 
 def _chunk_rows(n: int) -> int:
-    """Rows of a K x n chunk: the value budget, but at least n + 1 rows.
+    """Rows of a K x n chunk: the value budget, but at least n rows.
 
-    The floor keeps a chunk's ``bincount`` over the n(n+1) table cells no
+    The floor keeps a chunk's ``bincount`` over the n x n table cells no
     dearer than the chunk itself.
     """
-    return max(_CHUNK_VALUES // n, n + 1)
+    return max(_CHUNK_VALUES // n, n)
 
 
 def _row_chunks(a: np.ndarray):
@@ -108,13 +108,13 @@ def _check_bootstraps_fit(n: int, n_boot: int, copies: int = 1) -> None:
     """Refuse ``copies`` bootstraps of ``n_boot`` x ``n`` that physical memory cannot hold at once.
 
     One bootstrap holds the compact sort orders, the two K-vectors of its
-    :class:`RankCounts` (at most 8 bytes a replicate), the n x (n+1) table
-    (its ``intp`` counts, one chunk's ``bincount``, ``at_most`` and its
-    shifted copy, at most 8 bytes a cell each) and one chunk's 16 bytes a
-    value (draw and sort order, or cells and one lookup).
+    :class:`RankCounts` (at most 8 bytes a replicate), the table (its
+    ``intp`` counts, one chunk's ``bincount`` and ``at_most``, at most 8
+    bytes a cell each) and one chunk's 16 bytes a value (draw and sort
+    order, or cells and one lookup).
     """
     order_bytes = np.min_scalar_type(n - 1).itemsize
-    need = (n_boot * (n * order_bytes + 16) + n * (n + 1) * 32
+    need = (n_boot * (n * order_bytes + 16) + n * (n + 1) * 24
             + min(_chunk_rows(n), n_boot) * n * 16)
     what = f"{n_boot} x {n} replicates"
     what = f"a bootstrap of {what}" if copies == 1 else f"running {copies} bootstraps of {what} at once"
@@ -144,42 +144,40 @@ def _sort_orders(chunks, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The stable sort order of each row of K x n draws given as row chunks, and the cell counts.
 
     A row's stable argsort order lists its centers by rank, ties by
-    position, so the center at position p has rank p + 1 and its cell of
-    the flattened n x (n+1) table is ``order[k, p] * (n + 1) + p + 1``.
+    position, so center ``order[k, p]`` has rank p + 1: its cell of the
+    flattened n x n table of ranks by centers is ``p * n + order[k, p]``.
     Orders are stored by position in the smallest unsigned type that holds
-    n - 1 (``uint8`` up to n = 256), and each chunk's cells are counted, in
-    the n x (n+1) table, as they are made; no chunk outlives the call.
+    n - 1 (``uint8`` up to n = 256), and each chunk's cells are counted as
+    they are made; no chunk outlives the call.
     """
     orders = np.empty((k, n), dtype=np.min_scalar_type(n - 1))
-    counts = np.zeros(n * (n + 1), dtype=np.intp)
-    positions = np.arange(1, n + 1)
+    counts = np.zeros(n * n, dtype=np.intp)
+    offsets = np.arange(0, n * n, n)
     start = 0
     for rows in chunks:
         order = np.argsort(rows, axis=1, kind="stable")
         orders[start:start + len(rows)] = order
-        order *= n + 1
-        order += positions
+        order += offsets
         counts += np.bincount(order.ravel(), minlength=counts.size)
         start += len(rows)
         del order  # before the next chunk's order is made
-    return orders, counts.reshape(n, n + 1)
+    return orders, counts.reshape(n, n)
 
 
 def _cells(orders: np.ndarray):
     """Yield the table cells of K x n sort orders (:func:`_sort_orders`) a row chunk at a time.
 
-    Each chunk's cells are laid out centers x rows, C-contiguous, as
+    Each chunk's cells are laid out positions x rows, C-contiguous, as
     :meth:`RankCounts._of_cells` reads them, in one buffer that the next
-    chunk overwrites.  The orders are widened to ``intp`` before they are
-    scaled: NEP 50 keeps ``uint8 * int`` in ``uint8``, which would wrap.
+    chunk overwrites.  Cells reach n * n - 1, past what the orders' own
+    type holds, so they are computed in ``intp``.
     """
     n = orders.shape[1]
-    positions = np.arange(1, n + 1)[:, None]
+    offsets = np.arange(0, n * n, n)[:, None]
     buffer = np.empty(min(_chunk_rows(n), len(orders)) * n, dtype=np.intp)
     for chunk in _row_chunks(orders):
         cells = buffer[:chunk.size].reshape(n, len(chunk))
-        np.multiply(chunk.T, n + 1, dtype=np.intp, out=cells)
-        cells += positions
+        np.add(chunk.T, offsets, dtype=np.intp, out=cells)
         yield cells
 
 
@@ -213,24 +211,25 @@ class RankCounts:
     def _of_cells(cls, counts: np.ndarray, k: int, cell_chunks) -> "RankCounts":
         """Build the table from the cell counts, then both K-vectors from the cells, chunk by chunk.
 
-        ``counts`` is the n x (n+1) table of cell counts and ``cell_chunks``
-        yields the transposes of consecutive row chunks of the K x n cells,
-        centers x rows, so reducing over centers is elementwise over rows.
-        The cell below cell c is c - 1, so ``most_below`` reads the
-        flattened table shifted one place on; a cell's rank is at least 1,
-        so the wrapped first entry is never read.
+        ``counts[v - 1, i]`` is the number of replicates that rank center i
+        at v, and ``cell_chunks`` yields, for consecutive row chunks, each
+        replicate's n cells ``(v - 1) * n + i`` down a column, so reducing
+        over axis 0 is elementwise over replicates.  ``by_rank[v, i]`` is
+        ``at_most[i, v]``, so a cell indexes ``by_rank[1:]`` at the
+        replicate's rank and ``by_rank[:-1]`` at the rank below.
         """
+        n = len(counts)
         count_type = np.int32 if k < 2**31 else np.int64
-        at_most = np.cumsum(counts, axis=1, dtype=count_type)
-        below = np.roll(at_most, 1)
+        by_rank = np.zeros((n + 1, n), dtype=count_type)
+        np.cumsum(counts, axis=0, dtype=count_type, out=by_rank[1:])
         fewest, most_below = np.empty((2, k), dtype=count_type)
         start = 0
         for cells in cell_chunks:
             rows = slice(start, start + cells.shape[1])
-            np.min(np.take(at_most, cells), axis=0, out=fewest[rows])
-            np.max(np.take(below, cells), axis=0, out=most_below[rows])
+            np.min(np.take(by_rank[1:], cells), axis=0, out=fewest[rows])
+            np.max(np.take(by_rank[:-1], cells), axis=0, out=most_below[rows])
             start = rows.stop
-        return cls(at_most, fewest, most_below)
+        return cls(by_rank.T, fewest, most_below)
 
     def _indices(self, beta: float) -> tuple[int, int]:
         return tuple(_type3_index(self.most_below.size, p) for p in (beta / 2.0, 1.0 - beta / 2.0))

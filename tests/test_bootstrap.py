@@ -34,15 +34,15 @@ def quantile_type3(sorted_values, p):
 
 
 def rank_counts_of(ranks):
-    """The RankCounts of K x n 1-based ranks; center i at rank v is cell ``i * (n + 1) + v``.
+    """The RankCounts of K x n 1-based ranks; center i at rank v is cell ``(v - 1) * n + i``.
 
     The definition the draw is tested against: ``RankCounts.draw`` counts the
     same cells straight from each replicate's sort order.  The cells are read
     back in the row chunks the draw reads its orders back in.
     """
     k, n = ranks.shape
-    cells = ranks + np.arange(0, n * (n + 1), n + 1, dtype=np.int32)
-    counts = np.bincount(cells.ravel(), minlength=n * (n + 1)).reshape(n, n + 1)
+    cells = (ranks - 1) * n + np.arange(n, dtype=np.int32)
+    counts = np.bincount(cells.ravel(), minlength=n * n).reshape(n, n)
     return RankCounts._of_cells(counts, k, (chunk.T for chunk in bootstrap._row_chunks(cells)))
 
 
@@ -167,7 +167,7 @@ class TestCountTableBisection:
                                                      chunk_rows):
         k, n = ranks.shape
         cfg = BootstrapConfig(n_boot=k, precision=precision, maxiter=maxiter)
-        # chunks of chunk_rows rows, but never fewer than the n + 1 floor
+        # chunks of chunk_rows rows, but never fewer than the n-row floor
         old_budget, bootstrap._CHUNK_VALUES = bootstrap._CHUNK_VALUES, chunk_rows * n
         try:
             counts = rank_counts_of(ranks)
@@ -242,7 +242,7 @@ class TestCountTableBisection:
     @pytest.mark.parametrize("n, limit", [(50, 2 * 2**20), (300, 12 * 2**20)])
     def test_peak_memory_at_wide_n_is_the_compact_orders(self, monkeypatch, n, limit):
         # K = 1e4 int32 cells alone take 1.9 MiB at n = 50 and 11.4 MiB at n = 300;
-        # the n x (n+1) table and a chunk of n + 1 rows fit beside uint8/uint16 orders
+        # the n x n table and a chunk of n rows fit beside uint8/uint16 orders
         peak, guarded = self.peak_and_guarded(monkeypatch, n, 10_000)
         assert peak <= limit and peak <= guarded
 
@@ -283,7 +283,7 @@ class TestChunkedRanks:
         cfg = BootstrapConfig(n_boot=k, seed=seed)
         draws = make_bootstrap_draws(s, cfg)
         expected = rank_counts_of(rank_rows(draws))
-        # chunks of chunk_rows rows, but never fewer than the n + 1 floor
+        # chunks of chunk_rows rows, but never fewer than the n-row floor
         old_budget, bootstrap._CHUNK_VALUES = bootstrap._CHUNK_VALUES, chunk_rows * n
         try:
             assert_same_counts(RankCounts.draw(s, cfg), expected)
@@ -294,16 +294,17 @@ class TestChunkedRanks:
 
     @pytest.mark.parametrize("n", [256, 257])
     def test_equals_ranks_where_the_orders_widen(self, monkeypatch, n):
-        # the orders are uint8 up to n = 256 and uint16 from n = 257; a cell
-        # computed in either type (255 * 257, 256 * 258) would wrap
-        assert np.min_scalar_type(n - 1) == (np.uint8 if n == 256 else np.uint16)
         monkeypatch.setattr(bootstrap, "_CHUNK_VALUES", 1)
-        assert bootstrap._chunk_rows(n) == n + 1
+        assert bootstrap._chunk_rows(n) == n
         rng = np.random.default_rng(n)
         s = CenterSample.from_observations(0.01 * rng.normal(size=n), rng.uniform(0.5, 1.5, n))
-        # two whole chunks of n + 1 rows and a partial last one
-        cfg = BootstrapConfig(n_boot=2 * (n + 1) + 5, seed=n)
+        # two whole chunks of n rows and a partial last one
+        cfg = BootstrapConfig(n_boot=2 * n + 5, seed=n)
         draws = make_bootstrap_draws(s, cfg)
+        # the orders are uint8 up to n = 256 and uint16 from n = 257; cells
+        # computed in the orders' type would wrap (they reach 65,535 and 66,048)
+        orders, _ = bootstrap._sort_orders([draws], len(draws), n)
+        assert orders.dtype == (np.uint8 if n == 256 else np.uint16)
         expected = rank_counts_of(rank_rows(draws))
         assert_same_counts(RankCounts.draw(s, cfg), expected)
         assert spiegelhalter_pointwise(s, 0.2, draws) == list(expected.intervals(0.2))
