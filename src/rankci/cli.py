@@ -16,12 +16,12 @@ plot data all render one output model built once from the result.
 Human-readable tables go to stdout, headed by the run's start time;
 machine-readable JSON/TSV goes to files and embeds the run manifest, which
 holds no time, so a rerun with the same flags and seed reproduces the bytes
-exactly.  An unwritable output path, a negative seed, ``--mc-samples``
-below ``MC_SAMPLES_FLOOR`` or ``--boot-samples`` below 1 (whatever the
-methods), ``--out json|tsv`` and ``--out-file`` given one without the
-other, or ``rank`` with ``--trace`` without seqtukey among the methods or
-with ``--alpha`` above 0.5 ends the run with one ``error:`` line and exit
-status 2.
+exactly.  An unwritable output path or one naming the input or the other
+output, a negative seed, ``--mc-samples`` below ``MC_SAMPLES_FLOOR`` or
+``--boot-samples`` below 1 (whatever the methods), ``--out json|tsv`` and
+``--out-file`` given one without the other, or ``rank`` with ``--trace``
+without seqtukey among the methods or with ``--alpha`` outside (0, 0.5]
+ends the run with one ``error:`` line and exit status 2.
 """
 
 import argparse
@@ -29,6 +29,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -366,6 +367,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_paths_distinct(args) -> None:
+    """Refuse an output path that names the input or the other output, after ``realpath``."""
+    scenario = getattr(args, "scenario", "")
+    named = {"--input": getattr(args, "input", None),
+             "--scenario": scenario[len("file:"):] if scenario.startswith("file:") else None,
+             "--out-file": args.out_file, "--plot-data": getattr(args, "plot_data", None)}
+    seen = {}
+    for flag, path in named.items():
+        if path is not None:
+            first = seen.setdefault(os.path.realpath(path), flag)
+            if first != flag:
+                raise IngestError(f"{flag} {path} names the same file as {first}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -375,10 +390,12 @@ def main(argv=None) -> int:
             raise IngestError("--out json/tsv and --out-file must be given together")
         if getattr(args, "trace", False) and args.method not in ("seqtukey", "all"):
             raise IngestError("--trace prints seqtukey's rounds; use --method seqtukey or all")
-        if args.command == "rank" and args.alpha > 0.5:
+        if args.command == "rank" and not 0 < args.alpha <= 0.5:
             # a CI at a level above 0.5 would lie wholly above the level-0.5 point estimate
             raise IngestError("rank's --alpha must be at most 0.5, the level of its rankability "
-                              "point estimate")
+                              "point estimate" if args.alpha > 0.5
+                              else f"alpha must be in (0, 1), got {args.alpha}")
+        _check_paths_distinct(args)
         if args.mc_samples < MC_SAMPLES_FLOOR:
             raise IngestError(f"--mc-samples must be at least {MC_SAMPLES_FLOOR}")
         if args.boot_samples < 1:

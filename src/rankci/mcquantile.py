@@ -5,10 +5,10 @@ Because all quantiles are order statistics of row-wise maxima taken over the
 *same* rows, the quantile is exactly (not just statistically) monotone in the
 pair set: more pairs can only raise each row's maximum.
 
-The pool keeps one memo of what depends on it alone: its full-range and
-negative-pair row maxima, computed once, and at each alpha the full-range
-quantile and the rows that can reach a restricted quantile
-(:func:`rows_reaching`), each selected once.  Nothing in it depends on a
+The pool keeps one memo of what depends on it alone, each value once: its
+full-range and negative-pair row maxima (:func:`row_maxima`), and at each
+alpha the full-range quantile and the indices of the rows that can reach a
+restricted quantile (:func:`rows_reaching`).  Nothing in it depends on a
 sample, so a shared pool carries no state from one sample to the next.
 
 The pool is one column-major buffer, so every pairwise operation reads two
@@ -66,10 +66,11 @@ class McPool:
 
     ``_memo`` holds what depends on the pool alone, filled through
     :func:`_memoized`: under ``"row_maxima"`` the full-range and negative-pair
-    row maxima, under ``("full", alpha)`` each alpha's
-    :func:`studentized_range_quantile`, and under ``("kept", alpha)`` each
-    alpha's :func:`rows_reaching` entry.  Its arrays are read-only, so no
-    caller can change a later quantile.
+    row maxima (read through :func:`row_maxima`), under ``("full", alpha)``
+    each alpha's :func:`studentized_range_quantile`, and under ``("kept",
+    alpha)`` the indices of the rows :func:`rows_reaching` keeps, or None;
+    the kept rows' maxima are sliced from ``"row_maxima"``, not stored again.
+    Its arrays are read-only, so no caller can change a later quantile.
     """
 
     _cols: np.ndarray = field(repr=False)
@@ -347,32 +348,15 @@ def _fill_row_maxima(pool: McPool) -> tuple[np.ndarray, np.ndarray]:
     return full, negative
 
 
-def _row_maxima(pool: McPool) -> tuple[np.ndarray, np.ndarray]:
-    """The pool's full-range and negative-pair row maxima, both made on first use."""
+def row_maxima(pool: McPool) -> tuple[np.ndarray, np.ndarray]:
+    """``(full, negative)``: per-row maxima of ``(Y_i - Y_j) / sqrt(sigma_i^2 + sigma_j^2)``.
+
+    ``full`` is over all pairs, the studentized-range statistic; ``negative``
+    over the pairs i < j, the negative pairs of a sorted sample, which the
+    sequential procedure keeps in every round.  Both are made in one pass on
+    first use and returned read-only from the pool's memo.
+    """
     return _memoized(pool, "row_maxima", lambda: _fill_row_maxima(pool))
-
-
-def full_row_maxima(pool: McPool) -> np.ndarray:
-    """Per-row max over *all* pairs (the studentized-range statistic).
-
-    With equal sigmas the maximum reduces to the standardized range
-    (max - min); with unequal sigmas the n(n-1)/2 unordered pairs are visited
-    once, taking ``|Y_i - Y_j| / sqrt(sigma_i^2 + sigma_j^2)``.  The vector is
-    computed once per pool, with :func:`negative_row_maxima`, and returned
-    read-only from the pool's memo.
-    """
-    return _row_maxima(pool)[0]
-
-
-def negative_row_maxima(pool: McPool) -> np.ndarray:
-    """Per-row max of (Y_i - Y_j) / sqrt(sigma_i^2 + sigma_j^2) over pairs i < j.
-
-    These are the negative pairs of a sorted sample, which the sequential
-    procedure keeps in every round.  With equal sigmas this is a running
-    prefix maximum, O(n) per row.  The vector is computed once per pool, with
-    :func:`full_row_maxima`, and returned read-only from the pool's memo.
-    """
-    return _row_maxima(pool)[1]
 
 
 def studentized_range_quantile(pool: McPool, alpha: float) -> float:
@@ -381,24 +365,22 @@ def studentized_range_quantile(pool: McPool, alpha: float) -> float:
     The statistic per pool row is
     ``max over i != j of |Y_i - Y_j| / sqrt(sigma_i^2 + sigma_j^2)``,
     equal to the restricted maximum over the full ordered-pair set.  It is
-    read from :func:`full_row_maxima`, and each alpha's order statistic is
+    read from :func:`row_maxima`, and each alpha's order statistic is
     selected once per pool and kept in its memo.
     """
     return _memoized(pool, ("full", alpha),
-                     lambda: empirical_quantile(full_row_maxima(pool), alpha))
+                     lambda: empirical_quantile(row_maxima(pool)[0], alpha))
 
 
 def _kept_rows(pool: McPool, alpha: float):
-    """Read-only indices and maxima of the rows reaching Qneg(alpha); None past the share."""
-    full, negative = _row_maxima(pool)
+    """Read-only indices of the rows reaching Qneg(alpha); None past the share."""
+    full, negative = row_maxima(pool)
     keep = full >= empirical_quantile(negative, alpha)
     if np.count_nonzero(keep) > _MAX_KEPT_SHARE * pool.n_samples:
         return None
     keep = np.flatnonzero(keep)
-    kept = keep, full[keep], negative[keep]
-    for values in kept:
-        values.setflags(write=False)
-    return kept
+    keep.setflags(write=False)
+    return keep
 
 
 def rows_reaching(pool: McPool, alpha: float):
@@ -406,17 +388,17 @@ def rows_reaching(pool: McPool, alpha: float):
 
     A pair set that holds every negative pair has row maxima at least the
     negative-pair ones, so its quantile is at least Qneg(alpha), the same
-    order statistic of :func:`negative_row_maxima`; a row whose full-range
-    maximum is below Qneg(alpha) cannot reach it.  Returns ``(rows, full,
-    negative, below)``: a pool of the rows that can, their full-range and
-    negative-pair maxima, and the number of rows left out; or, when more
-    than ``_MAX_KEPT_SHARE`` of the rows can, ``pool`` itself, all its maxima
-    and 0.  The rows are chosen once per pool and alpha, and copied on every
-    call: a copy kept in the memo would stay in memory between calls.
+    order statistic of the negative maxima of :func:`row_maxima`; a row
+    whose full-range maximum is below Qneg(alpha) cannot reach it.  Returns
+    ``(rows, full, negative, below)``: a pool of the rows that can, their
+    slices of the full-range and negative-pair maxima, and the number of
+    rows left out; or, when more than ``_MAX_KEPT_SHARE`` of the rows can,
+    ``pool`` itself, all its maxima and 0.  Only the rows' indices are kept,
+    once per pool and alpha; the rows and their maxima are copied on every
+    call, since a copy kept in the memo would stay in memory between calls.
     """
-    kept = _memoized(pool, ("kept", alpha), lambda: _kept_rows(pool, alpha))
-    if kept is None:  # a marker, not the pool itself: see _memoized
-        return (pool, *_row_maxima(pool), 0)
-    rows, full, negative = kept
-    return pool.take_rows(rows), full, negative, pool.n_samples - rows.size
-
+    rows = _memoized(pool, ("kept", alpha), lambda: _kept_rows(pool, alpha))
+    full, negative = row_maxima(pool)
+    if rows is None:  # a marker, not the pool itself: see _memoized
+        return pool, full, negative, 0
+    return pool.take_rows(rows), full[rows], negative[rows], pool.n_samples - rows.size

@@ -11,9 +11,11 @@ the critical values non-increasing by construction rather than on average.
 Each round only drops pairs, so its row maxima are derived from the maxima
 of the round before in the same call, or for the first restricted round from
 the pool's full-range maxima; none are kept once the call returns.  Let
-``base`` be the row maxima over the positive pairs A plus the negatives, and
-let the new round keep the subset B of A, dropping the pairs R.  A row keeps
-``base`` unless its maximum may lie in R: ``max_R >= base`` while the
+``base`` be the row maxima over the positive pairs A plus the negatives,
+where A is every positive pair not rejected before the round.  The new round
+keeps the subset B of A and drops the pairs R, which are exactly the round's
+newly rejected pairs, so no pair mask is carried from round to round.  A row
+keeps ``base`` unless its maximum may lie in R: ``max_R >= base`` while the
 negatives stay below ``base`` (``>=``, because a maximum attained in R equals
 ``base``).  Only those stale rows are recomputed over B, gathered, and maxed
 with the negatives.  A maximum is exact and every pair value comes from the
@@ -91,19 +93,17 @@ class SeqTrace:
         return self.steps[-1].rejected_total if self.steps else None
 
 
-def _row_maxima_from(pool: McPool, base_mask: np.ndarray, base: np.ndarray,
-                     negative: np.ndarray, active: np.ndarray) -> np.ndarray:
+def _row_maxima_from(pool: McPool, base: np.ndarray, negative: np.ndarray,
+                     dropped: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Row maxima over ``active``'s positive pairs and every negative pair.
 
-    ``base`` holds the row maxima over ``base_mask``'s positive pairs and
-    every negative pair, ``negative`` those over the negative pairs alone,
-    and ``active`` is a subset of ``base_mask``.  Only the rows whose maximum
+    ``base`` holds the row maxima over the positive pairs of ``dropped`` and
+    ``active``, two disjoint masks, and every negative pair; ``negative``
+    holds those over the negative pairs alone.  Only the rows whose maximum
     may lie in a dropped pair are recomputed (see the module docstring); the
     result may be ``base`` itself.
     """
-    dropped = base_mask & ~active
-    n_dropped = np.count_nonzero(dropped)
-    if n_dropped >= np.count_nonzero(active):
+    if np.count_nonzero(dropped) >= np.count_nonzero(active):
         row_max = pair_row_maxima(pool, *np.nonzero(active))
         return np.maximum(row_max, negative, out=row_max)
     reached = pair_row_maxima(pool, *np.nonzero(dropped)) >= base
@@ -134,7 +134,7 @@ def sequential_tukey(sample: CenterSample, alpha: float, pool: McPool
     stat = _statistic_matrix(sample)
     rejected = np.zeros((n, n), dtype=bool)
     q = studentized_range_quantile(pool, alpha)
-    base_mask, base = np.tri(n, k=-1, dtype=bool), None
+    base = None
     steps: list[SeqStep] = []
 
     while True:
@@ -151,9 +151,9 @@ def sequential_tukey(sample: CenterSample, alpha: float, pool: McPool
         if base is None:
             rows, base, negative, below = rows_reaching(pool, alpha)
         # the negative pairs stay in every round; each round's row maxima
-        # derive from the round before's, the first from the full range's
-        base = _row_maxima_from(rows, base_mask, base, negative, active)
-        base_mask = active
+        # derive from the round before's, the first from the full range's,
+        # by dropping the pairs this round newly rejected
+        base = _row_maxima_from(rows, base, negative, newly, active)
         q = empirical_quantile(base, alpha, _below=below)
 
     intervals = rank_bounds_from_rejections(rejected)

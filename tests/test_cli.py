@@ -276,6 +276,42 @@ class TestCmdRank:
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize("case", ["plot-data-is-out-file", "out-file-is-input",
+                                      "out-file-is-scenario"])
+    def test_output_path_naming_another_fails_before_any_work(self, case, estimates_file,
+                                                              tmp_path, monkeypatch, capsys):
+        # unchecked, each run exits 0 having replaced the JSON by the plot
+        # rows, or the input or the scenario file by the JSON
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started before the paths were compared")
+
+        monkeypatch.setattr("rankci.cli.ingest_estimates", no_work)
+        monkeypatch.setattr("rankci.cli._run_methods", no_work)
+        monkeypatch.setattr("rankci.cli.run_coverage", no_work)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"mu": [1, 2, 3]}))
+        out = tmp_path / "out.json"
+        # each clash is spelled as a different path to the same file
+        argv, kept = {
+            "plot-data-is-out-file": (
+                ["rank", "--input", estimates_file, "--out", "json", "--out-file", str(out),
+                 "--plot-data", os.path.join(tmp_path, ".", "out.json")], out),
+            "out-file-is-input": (
+                ["rank", "--input", estimates_file, "--out", "json",
+                 "--out-file", os.path.join(tmp_path, "sub", "..", "centers.csv")],
+                tmp_path / "centers.csv"),
+            "out-file-is-scenario": (
+                ["simulate", "--scenario", f"file:{scenario}", "--out", "json",
+                 "--out-file", os.path.relpath(scenario)], scenario),
+        }[case]
+        before = kept.read_bytes() if kept.exists() else None
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --") and "same file" in err[0]
+        assert (kept.read_bytes() if kept.exists() else None) == before
+
     @pytest.mark.parametrize("method", ["tukey", "zhang"])
     def test_trace_without_seqtukey_fails_before_any_work(self, method, monkeypatch, capsys):
         # the parent printed no trace and exited 0
@@ -302,6 +338,20 @@ class TestCmdRank:
         assert captured.out == ""
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: rank's --alpha must be at most 0.5")
+
+    @pytest.mark.parametrize("alpha", ["0", "-0.1", "nan"])
+    def test_alpha_not_above_zero_fails_before_any_work(self, alpha, monkeypatch, capsys):
+        # unchecked, the run reads the input, draws the pool and the whole
+        # bootstrap, and only then refuses the level with this message
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started before --alpha was checked")
+
+        monkeypatch.setattr("rankci.cli.ingest_estimates", no_work)
+        monkeypatch.setattr("rankci.cli._run_methods", no_work)
+        assert main(["rank", "--input", "unread.csv", "--method", "all", "--alpha", alpha]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: alpha must be in (0, 1), got {float(alpha)}\n"
 
     def test_alpha_half_gives_a_ci_from_the_point_estimate(self, tmp_path, capsys):
         path = tmp_path / "close.csv"
@@ -559,11 +609,14 @@ class TestBootstrapBesidePool:
         for args, result in bisected:
             assert result == zhang_simultaneous(sample, args[1], cfg)
 
-    def test_alpha_out_of_range_raises_on_both_threads(self, estimates_file, capsys):
-        line = self._one_error_line(["rank", "--input", estimates_file, "--method", "all",
-                                     "--mc-samples", "2000", "--boot-samples", "500",
-                                     "--alpha", "0"], capsys)
-        assert "alpha" in line
+    def test_alpha_out_of_range_raises_on_both_threads(self, estimates_file):
+        # main refuses such a level before any work; the runner still raises
+        # one of the two threads' errors, once both have finished
+        sample = ingest_estimates(estimates_file)
+        threads_before = threading.active_count()
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\), got 0.0"):
+            _run_methods(sample, KNOWN_METHODS, 0.0, 2000, 500, seed=0)
+        assert threading.active_count() == threads_before
 
 
 class TestCmdSimulate:

@@ -12,10 +12,9 @@ from rankci import mcquantile
 from rankci.core import SIGMA_MAX, SIGMA_MIN
 from rankci.mcquantile import (
     MC_SAMPLES_FLOOR,
-    full_row_maxima,
     make_mc_pool,
-    negative_row_maxima,
     pair_row_maxima,
+    row_maxima,
     studentized_range_quantile,
 )
 from oracles import restricted_max_quantile
@@ -80,7 +79,7 @@ class TestMakeMcPool:
         # RuntimeWarnings are errors in this suite, so no overflow or 0/0 either
         pool = make_mc_pool(sigma, 1000, seed=0)
         assert np.isfinite(studentized_range_quantile(pool, 0.05))
-        assert np.isfinite(full_row_maxima(pool)).all()
+        assert np.isfinite(row_maxima(pool)[0]).all()
 
     def test_draws_frozen(self):
         pool = make_mc_pool([1.0], 1000, seed=0)
@@ -200,7 +199,7 @@ class TestStudentizedRangeQuantile:
         first = [studentized_range_quantile(pool, alpha) for alpha in (0.05, 0.1, 0.05, 0.1)]
         assert selected == [0.05, 0.1]
         assert first[:2] == first[2:] == [
-            select(full_row_maxima(pool), alpha) for alpha in (0.05, 0.1)]
+            select(row_maxima(pool)[0], alpha) for alpha in (0.05, 0.1)]
         # another pool, even one drawn alike, selects its own
         assert studentized_range_quantile(make_mc_pool(sigma, 2_000, seed=3), 0.05) == first[0]
         assert selected == [0.05, 0.1, 0.05]
@@ -250,7 +249,7 @@ class TestExactEqualSigmaOracle:
         # Binomial(N, 1 - alpha); on seed 0 it lies within 2.35 sd of the
         # pool quantile's index k at every n and alpha here
         n_samples = 100_000
-        full = full_row_maxima(make_mc_pool(np.ones(n), n_samples, seed=0))
+        full = row_maxima(make_mc_pool(np.ones(n), n_samples, seed=0))[0]
         for alpha in (0.01, 0.05, 0.2, 0.5):
             rank = np.count_nonzero(full <= exact_range_quantile(n, alpha))
             k = math.ceil((1 - alpha) * n_samples)
@@ -266,7 +265,7 @@ class TestExactEqualSigmaOracle:
         k = math.ceil((1 - alpha) * n_samples)
         half_width = 1.96 * math.sqrt(n_samples * alpha * (1 - alpha))
         covered = sum(
-            abs(np.count_nonzero(full_row_maxima(make_mc_pool(np.ones(n), n_samples, seed=seed))
+            abs(np.count_nonzero(row_maxima(make_mc_pool(np.ones(n), n_samples, seed=seed))[0]
                                  <= exact) - k) <= half_width
             for seed in range(seeds))
         pmf = [math.comb(seeds, c) * 0.95 ** c * 0.05 ** (seeds - c) for c in range(seeds + 1)]
@@ -349,11 +348,11 @@ def _ordered_pair_row_maxima(pool, keep):
 def _check_cache_against_ordered_pairs(sigma, negative_first):
     pool = make_mc_pool(sigma, 2_000, seed=17)
     if negative_first:
-        negative = negative_row_maxima(pool)
-        full = full_row_maxima(pool)
+        negative = row_maxima(pool)[1]
+        full = row_maxima(pool)[0]
     else:
-        full = full_row_maxima(pool)
-        negative = negative_row_maxima(pool)
+        full = row_maxima(pool)[0]
+        negative = row_maxima(pool)[1]
     assert full.tobytes() == _ordered_pair_row_maxima(pool, lambda i, j: True).tobytes()
     assert negative.tobytes() == _ordered_pair_row_maxima(pool, lambda i, j: i < j).tobytes()
 
@@ -372,14 +371,14 @@ class TestRowMaximaCache:
     @pytest.mark.parametrize("sigma", sorted(SIGMAS))
     def test_computed_once_per_pool(self, sigma):
         pool = make_mc_pool(self.SIGMAS[sigma][:6], 1_000, seed=3)
-        assert full_row_maxima(pool) is full_row_maxima(pool)
-        assert negative_row_maxima(pool) is negative_row_maxima(pool)
+        assert row_maxima(pool)[0] is row_maxima(pool)[0]
+        assert row_maxima(pool)[1] is row_maxima(pool)[1]
 
     @pytest.mark.parametrize("sigma", sorted(SIGMAS))
     def test_cached_vectors_read_only(self, sigma):
         pool = make_mc_pool(self.SIGMAS[sigma][:6], 1_000, seed=3)
         q = studentized_range_quantile(pool, 0.05)
-        for values in (full_row_maxima(pool), negative_row_maxima(pool)):
+        for values in row_maxima(pool):
             with pytest.raises(ValueError):
                 values[0] = np.inf
         assert studentized_range_quantile(pool, 0.05) == q
@@ -387,7 +386,7 @@ class TestRowMaximaCache:
     def test_single_center_rejected(self):
         pool = make_mc_pool([1.0], 1000, seed=0)
         with pytest.raises(ValueError):
-            negative_row_maxima(pool)
+            row_maxima(pool)
 
     @pytest.mark.parametrize("negative_first", [False, True])
     @pytest.mark.parametrize("sigma", sorted(SIGMAS))
@@ -401,7 +400,7 @@ class TestRowMaximaCache:
 
         monkeypatch.setattr(mcquantile, "_over_row_spans", counted)
         pool = make_mc_pool(self.SIGMAS[sigma][:6], 1_000, seed=3)
-        accessors = [full_row_maxima, negative_row_maxima]
+        accessors = [lambda pool: row_maxima(pool)[0], lambda pool: row_maxima(pool)[1]]
         for accessor in accessors[::-1] if negative_first else accessors:
             accessor(pool)
         assert calls == [1_000]

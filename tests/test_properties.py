@@ -43,9 +43,8 @@ from rankci.cli import ingest_estimates, main
 from rankci.core import SIGMA_MAX, SIGMA_MIN
 from rankci.mcquantile import (
     empirical_quantile,
-    full_row_maxima,
-    negative_row_maxima,
     pair_row_maxima,
+    row_maxima,
 )
 from rankci.seqtukey import _row_maxima_from
 from oracles import restricted_max_quantile
@@ -186,7 +185,7 @@ def nested_masks(draw):
 
 def direct_row_maxima(pool, active):
     """Row maxima over ``active``'s pairs and every negative pair, computed directly."""
-    return np.maximum(pair_row_maxima(pool, *np.nonzero(active)), negative_row_maxima(pool))
+    return np.maximum(pair_row_maxima(pool, *np.nonzero(active)), row_maxima(pool)[1])
 
 
 @pytest.mark.parametrize("spans", [None, (3, 100)], ids=["one-span", "row-spans"])
@@ -200,18 +199,19 @@ def test_derived_row_maxima_bit_identical(spans, case, n_kept):
             patch.setattr(mcquantile, "_usable_cores", lambda: cores)
             patch.setattr(mcquantile, "_MIN_SPAN_ROWS", min_rows)
         pool = make_mc_pool(sigma, 2 * POOL_ROWS, seed=seed)
-        negative = negative_row_maxima(pool)
+        negative = row_maxima(pool)[1]
         if base_mask.sum() == sigma.size * (sigma.size - 1) // 2:
-            base = full_row_maxima(pool)
+            base = row_maxima(pool)[0]
         else:
             base = direct_row_maxima(pool, base_mask)
         direct = direct_row_maxima(pool, active)
-        derived = _row_maxima_from(pool, base_mask, base, negative, active)
+        dropped = base_mask & ~active
+        derived = _row_maxima_from(pool, base, negative, dropped, active)
         assert derived.tobytes() == direct.tobytes()
         # on a copy of some rows, from those rows' slices of the maxima
         kept = np.sort(np.random.default_rng(seed).choice(pool.n_samples, n_kept, replace=False))
-        derived = _row_maxima_from(pool.take_rows(kept), base_mask, base[kept],
-                                   negative[kept], active)
+        derived = _row_maxima_from(pool.take_rows(kept), base[kept], negative[kept], dropped,
+                                   active)
         assert derived.tobytes() == direct[kept].tobytes()
 
 

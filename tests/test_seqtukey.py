@@ -311,9 +311,9 @@ class TestPoolMemo:
     def test_memo_arrays_read_only(self):
         pool = make_mc_pool(np.full(24, 0.8), 4_000, seed=11)
         self.run_both_levels(pool)
-        # the two row-maxima vectors and the kept rows' indices and maxima
+        # the two row-maxima vectors and the kept rows' indices
         arrays = memo_arrays(pool)
-        assert len(arrays) == 5
+        assert len(arrays) == 3
         for values in arrays:
             with pytest.raises(ValueError):
                 values[0] = 0
