@@ -12,14 +12,14 @@ The joint method never reads the Monte-Carlo pool, so it runs beside the
 pool work: ``rank`` runs it in a thread of its own beside the pool fill and
 the Tukey kernels, and ``simulate`` shares its replicates' bootstraps
 between one helper thread per call and the calling thread.  Everything it
-holds adds to the pool's peak, so it is kept compact: it draws and scales
-the K replicates a chunk at a time, each chunk a budget of values rather
-than of rows, stores each replicate's stable sort order in the smallest
-unsigned type that holds n - 1 (``uint8`` up to n = 256), and counts
-each chunk's (rank, center) cells into one table (:class:`RankCounts`) as
-they are made, so no rank matrix is built and each bisection step is one
-O(K) count; ``rank`` bisects both its levels on it.  The tests keep the
-table's definition from a rank matrix, which the draw must match.
+holds adds to the pool's peak, so it is kept compact: it takes the K
+replicates as row chunks of one draw, from the stream that fills the pool,
+each chunk a budget of values rather than of rows; it stores each
+replicate's stable sort order in the smallest unsigned type that holds
+n - 1 (``uint8`` up to n = 256), and counts each chunk's (rank, center)
+cells into one table (:class:`RankCounts`) as they are made, so no rank
+matrix is built and each bisection step is one O(K) count; ``rank`` bisects
+both its levels on it, to a fixed bracket width of 1e-6 (``_PRECISION``).
 """
 
 import math
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CenterSample, RankInterval, SimultaneousRankCIs, _whole_number
-from .mcquantile import _check_fits_memory
+from .mcquantile import _check_fits_memory, _normal_row_chunks
 
 __all__ = ["BootstrapConfig", "RankCounts", "ZhangResult", "make_bootstrap_draws",
            "spiegelhalter_pointwise", "zhang_simultaneous"]
@@ -38,13 +38,15 @@ __all__ = ["BootstrapConfig", "RankCounts", "ZhangResult", "make_bootstrap_draws
 #: 4096 rows at n = 10.
 _CHUNK_VALUES = 40_960
 
+#: Width of the beta bracket at which the bisection stops.
+_PRECISION = 1e-6
+
 
 @dataclass(frozen=True)
 class BootstrapConfig:
     """Knobs for the bootstrap baseline; its counts are whole numbers, as in a scenario file."""
 
     n_boot: int = 10_000
-    precision: float = 1e-6
     maxiter: int = 50
     seed: int = 0
 
@@ -53,15 +55,13 @@ class BootstrapConfig:
             object.__setattr__(self, key, _whole_number(getattr(self, key), key))
         if self.n_boot < 1:
             raise ValueError("n_boot must be at least 1")
-        if self.precision <= 0:
-            raise ValueError("precision must be positive")
         if self.maxiter < 1:
             raise ValueError("maxiter must be at least 1")
 
 
 @dataclass(frozen=True)
 class ZhangResult:
-    """Joint bootstrap CIs with the bisection outcome."""
+    """Joint CIs from one stream's K x n draw; the bisection stops at a 1e-6 bracket or maxiter."""
 
     cis: SimultaneousRankCIs
     achieved_coverage: float
@@ -122,19 +122,8 @@ def _check_bootstraps_fit(n: int, n_boot: int, copies: int = 1) -> None:
 
 
 def _draw_chunks(sample: CenterSample, cfg: BootstrapConfig):
-    """Yield the rows of ``make_bootstrap_draws(sample, cfg)`` a chunk at a time, in one buffer.
-
-    standard_normal fills its output in C order from one stream, so each
-    chunk holds the next rows of the K x n draw.  A chunk is scaled in place
-    by the same two operations, so every value is the same bit for bit,
-    while the K x n float matrix is never allocated.  Each chunk is
-    overwritten by the next.
-    """
-    rng = np.random.default_rng(cfg.seed)
-    step = _chunk_rows(sample.n)
-    chunk = np.empty((min(step, cfg.n_boot), sample.n))
-    for start in range(0, cfg.n_boot, step):
-        rows = rng.standard_normal(out=chunk[: min(step, cfg.n_boot - start)])
+    """Rows of :func:`make_bootstrap_draws`: chunks of one draw, scaled then shifted in place."""
+    for rows in _normal_row_chunks(cfg.seed, cfg.n_boot, sample.n, _chunk_rows(sample.n)):
         rows *= sample.sigma
         rows += sample.y
         yield rows
@@ -272,13 +261,15 @@ def zhang_simultaneous(sample: CenterSample, alpha: float, cfg: BootstrapConfig,
 
     Bisects beta over (0, alpha]: when the estimated joint coverage of the
     pointwise family at level beta clears ``1 - alpha`` the bracket moves up
-    (narrower intervals), otherwise down.  One K x n draw serves both
-    interval construction and coverage estimation; ``ranked``, if given, must
+    (narrower intervals), otherwise down.  One K x n draw, taken in row
+    chunks of a single standard-normal stream, serves both interval
+    construction and coverage estimation; ``ranked``, if given, must
     be its ``RankCounts.draw(sample, cfg)``, so several levels share one
     ranking.  If the final candidate under-covers, beta falls back to the last
     feasible bracket end, so the reported coverage is then at least ``1 - alpha``.
-    ``converged`` is False when the bracket was still wider than
-    ``cfg.precision`` at ``cfg.maxiter`` iterations.
+    The bracket stops at the fixed width ``_PRECISION`` (1e-6);
+    ``converged`` is False when it was still wider at ``cfg.maxiter``
+    iterations.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -286,14 +277,14 @@ def zhang_simultaneous(sample: CenterSample, alpha: float, cfg: BootstrapConfig,
         ranked = RankCounts.draw(sample, cfg)
     beta1, beta2, iterations = 0.0, alpha, 0
     beta = (beta1 + beta2) / 2.0
-    while abs(beta1 - beta2) > cfg.precision and iterations < cfg.maxiter:
+    while abs(beta1 - beta2) > _PRECISION and iterations < cfg.maxiter:
         if ranked.coverage(beta) >= 1.0 - alpha:
             beta1 = beta
         else:
             beta2 = beta
         beta = (beta1 + beta2) / 2.0
         iterations += 1
-    converged = abs(beta1 - beta2) <= cfg.precision
+    converged = abs(beta1 - beta2) <= _PRECISION
     achieved = ranked.coverage(beta)
     if achieved < 1.0 - alpha:
         beta = beta1

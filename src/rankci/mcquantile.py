@@ -118,6 +118,19 @@ def _check_fits_memory(need: int, what: str, flag: str) -> None:
         )
 
 
+def _normal_row_chunks(seed: int, k: int, n: int, step: int):
+    """Yield ``default_rng(seed).standard_normal((k, n))`` bit for bit, ``step`` rows at a time.
+
+    standard_normal fills its output in C order from one stream, so each chunk
+    holds the next rows of that one draw.  Every chunk is a view of one buffer,
+    which the next overwrites; the k x n matrix is never allocated.
+    """
+    rng = np.random.default_rng(seed)
+    buffer = np.empty((min(step, k), n))
+    for start in range(0, k, step):
+        yield rng.standard_normal(out=buffer[: min(step, k - start)])
+
+
 def _draw_chunk_rows(n: int) -> int:
     """Pool rows drawn from the generator at a time while a pool of n centers is filled.
 
@@ -147,17 +160,12 @@ def make_mc_pool(sigma, n_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0) -> M
         raise ValueError(f"n_samples={n_samples} is below the floor of {MC_SAMPLES_FLOOR}")
     _check_fits_memory(n_samples * sigma.size * 8,
                        f"a Monte-Carlo pool of {n_samples} x {sigma.size} draws", "--mc-samples")
-    rng = np.random.default_rng(seed)
-    # standard_normal fills its output in C order from one stream, so chunks
-    # of rows hold the values of a single (n_samples, n) draw; each chunk is
-    # scaled and stored transposed in the column-major buffer
+    # each chunk of one (n_samples, n) draw is scaled and stored transposed
     cols = np.empty((sigma.size, n_samples))
     step = _draw_chunk_rows(sigma.size)
-    chunk = np.empty((min(step, n_samples), sigma.size))
-    for start in range(0, n_samples, step):
-        stop = min(start + step, n_samples)
-        rows = rng.standard_normal(out=chunk[: stop - start])
-        np.multiply(rows.T, sigma[:, None], out=cols[:, start:stop])
+    chunks = _normal_row_chunks(seed, n_samples, sigma.size, step)
+    for start, rows in zip(range(0, n_samples, step), chunks):
+        np.multiply(rows.T, sigma[:, None], out=cols[:, start:start + len(rows)])
     return McPool(cols, sigma, int(seed))
 
 

@@ -110,14 +110,14 @@ def reference_bisection(ranks, alpha, cfg):
 
     beta1, beta2, iterations = 0.0, alpha, 0
     beta = (beta1 + beta2) / 2.0
-    while abs(beta1 - beta2) > cfg.precision and iterations < cfg.maxiter:
+    while abs(beta1 - beta2) > bootstrap._PRECISION and iterations < cfg.maxiter:
         if coverage(beta) >= 1.0 - alpha:
             beta1 = beta
         else:
             beta2 = beta
         beta = (beta1 + beta2) / 2.0
         iterations += 1
-    converged = abs(beta1 - beta2) <= cfg.precision
+    converged = abs(beta1 - beta2) <= bootstrap._PRECISION
     achieved = coverage(beta)
     fell_back = achieved < 1.0 - alpha
     if fell_back:
@@ -130,9 +130,9 @@ def reference_bisection(ranks, alpha, cfg):
 # result falls back to the last feasible bracket end
 FALLBACK_CASES = [
     ([[2, 1, 3], [3, 1, 2], [2, 3, 1], [2, 3, 1], [2, 1, 3], [3, 1, 2], [2, 1, 3], [1, 3, 2]],
-     0.9, 1e-6, 1),
+     0.9, 1),
     ([[2, 3, 1], [3, 2, 1], [1, 3, 2], [2, 1, 3], [1, 2, 3], [1, 2, 3], [1, 2, 3]],
-     0.5, 1e-6, 2),
+     0.5, 2),
 ]
 
 
@@ -154,19 +154,16 @@ class TestCountTableBisection:
     @settings(derandomize=True, deadline=None, database=None, max_examples=300)
     @given(ranks=rank_matrices(),
            alpha=st.sampled_from([0.01, 0.05, 0.2, 0.5, 0.9]) | st.floats(0.001, 0.999),
-           precision=st.sampled_from([1e-6, 1e-2, 0.3]),
            maxiter=st.integers(1, 60),
            chunk_rows=st.sampled_from([1, 3, 4096]))
-    @example(ranks=np.array(FALLBACK_CASES[0][0], dtype=np.int32), alpha=0.9, precision=1e-6,
-             maxiter=1, chunk_rows=3)
-    @example(ranks=np.array(FALLBACK_CASES[1][0], dtype=np.int32), alpha=0.5, precision=1e-6,
-             maxiter=2, chunk_rows=4096)
-    @example(ranks=np.ones((5, 1), dtype=np.int32), alpha=0.05, precision=1e-6, maxiter=50,
-             chunk_rows=2)
-    def test_count_table_bisection_matches_reference(self, ranks, alpha, precision, maxiter,
-                                                     chunk_rows):
+    @example(ranks=np.array(FALLBACK_CASES[0][0], dtype=np.int32), alpha=0.9, maxiter=1,
+             chunk_rows=3)
+    @example(ranks=np.array(FALLBACK_CASES[1][0], dtype=np.int32), alpha=0.5, maxiter=2,
+             chunk_rows=4096)
+    @example(ranks=np.ones((5, 1), dtype=np.int32), alpha=0.05, maxiter=50, chunk_rows=2)
+    def test_count_table_bisection_matches_reference(self, ranks, alpha, maxiter, chunk_rows):
         k, n = ranks.shape
-        cfg = BootstrapConfig(n_boot=k, precision=precision, maxiter=maxiter)
+        cfg = BootstrapConfig(n_boot=k, maxiter=maxiter)
         # chunks of chunk_rows rows, but never fewer than the n-row floor
         old_budget, bootstrap._CHUNK_VALUES = bootstrap._CHUNK_VALUES, chunk_rows * n
         try:
@@ -192,10 +189,10 @@ class TestCountTableBisection:
         assert res.converged == converged
         assert res.iterations == iterations
 
-    @pytest.mark.parametrize("ranks, alpha, precision, maxiter", FALLBACK_CASES)
-    def test_fallback_cases_fall_back(self, ranks, alpha, precision, maxiter):
+    @pytest.mark.parametrize("ranks, alpha, maxiter", FALLBACK_CASES)
+    def test_fallback_cases_fall_back(self, ranks, alpha, maxiter):
         ranks = np.array(ranks, dtype=np.int32)
-        cfg = BootstrapConfig(n_boot=len(ranks), precision=precision, maxiter=maxiter)
+        cfg = BootstrapConfig(n_boot=len(ranks), maxiter=maxiter)
         assert reference_bisection(ranks, alpha, cfg)[-1]
 
     def test_equals_the_reference_on_drawn_replicates(self):
@@ -425,10 +422,9 @@ class TestZhangSimultaneous:
         assert res.achieved_coverage >= 0.9
 
     def test_maxiter_flag(self):
+        # three halvings leave a bracket of 0.05 / 8, far wider than _PRECISION
         s = CenterSample.from_observations(WELL_SEPARATED, [1.0] * 10)
-        res = zhang_simultaneous(
-            s, 0.05, BootstrapConfig(n_boot=500, precision=1e-12, maxiter=3, seed=5)
-        )
+        res = zhang_simultaneous(s, 0.05, BootstrapConfig(n_boot=500, maxiter=3, seed=5))
         assert not res.converged
         assert res.iterations == 3
         assert res.achieved_coverage >= 0.95
@@ -446,7 +442,8 @@ class TestZhangSimultaneous:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BootstrapConfig(n_boot=0)
-        with pytest.raises(ValueError):
-            BootstrapConfig(precision=0.0)
+        # the bracket width is fixed, not a setting
+        with pytest.raises(TypeError):
+            BootstrapConfig(precision=1e-6)
         with pytest.raises(ValueError):
             BootstrapConfig(maxiter=0)

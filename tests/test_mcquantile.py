@@ -8,8 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from rankci import mcquantile
-from rankci.core import SIGMA_MAX, SIGMA_MIN
+from rankci import bootstrap, mcquantile
+from rankci.core import SIGMA_MAX, SIGMA_MIN, CenterSample
 from rankci.mcquantile import (
     MC_SAMPLES_FLOOR,
     make_mc_pool,
@@ -133,6 +133,46 @@ class TestMakeMcPool:
         monkeypatch.setattr(mcquantile.np.random, "default_rng", no_allocation)
         with pytest.raises(ValueError, match="--mc-samples"):
             make_mc_pool([1.0, 1.0], 10**13, seed=0)
+
+
+class TestNormalRowChunks:
+    """The one generator that draws the pool and the bootstrap replicates, a row chunk at a time."""
+
+    def test_chunks_are_one_draw_in_one_buffer(self):
+        # a step of 7 does not divide K = 23: three whole chunks and a partial one
+        k, n, step = 23, 5, 7
+        chunks, first = [], None
+        for rows in mcquantile._normal_row_chunks(41, k, n, step):
+            first = rows if first is None else first
+            assert rows.base is not None and rows.base is first.base
+            assert rows.ctypes.data == first.ctypes.data
+            chunks.append(rows.copy())
+        assert [len(rows) for rows in chunks] == [7, 7, 7, 2]
+        expected = np.random.default_rng(41).standard_normal((k, n))
+        assert np.concatenate(chunks).tobytes() == expected.tobytes()
+
+    def test_pool_and_bootstrap_each_draw_through_it_once(self, monkeypatch):
+        calls, seeds = [], []
+        chunks, default_rng = mcquantile._normal_row_chunks, np.random.default_rng
+
+        def recorded(seed, k, n, step):
+            calls.append((seed, k, n, step))
+            yield from chunks(seed, k, n, step)
+
+        def recorded_rng(seed):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(mcquantile, "_normal_row_chunks", recorded)
+        monkeypatch.setattr(bootstrap, "_normal_row_chunks", recorded)
+        monkeypatch.setattr(np.random, "default_rng", recorded_rng)
+        # neither step divides its row count
+        make_mc_pool([0.5, 1.0, 1.5], 5_000, seed=3)
+        assert calls == [(3, 5_000, 3, mcquantile._draw_chunk_rows(3))] and seeds == [3]
+        del calls[:], seeds[:]
+        sample = CenterSample.from_observations([0.1, 0.2, 0.3], [1.0, 1.0, 1.0])
+        bootstrap.RankCounts.draw(sample, bootstrap.BootstrapConfig(n_boot=30_000, seed=4))
+        assert calls == [(4, 30_000, 3, bootstrap._chunk_rows(3))] and seeds == [4]
 
 
 class TestStudentizedRangeQuantile:
@@ -345,14 +385,9 @@ def _ordered_pair_row_maxima(pool, keep):
     return out
 
 
-def _check_cache_against_ordered_pairs(sigma, negative_first):
+def _check_cache_against_ordered_pairs(sigma):
     pool = make_mc_pool(sigma, 2_000, seed=17)
-    if negative_first:
-        negative = row_maxima(pool)[1]
-        full = row_maxima(pool)[0]
-    else:
-        full = row_maxima(pool)[0]
-        negative = row_maxima(pool)[1]
+    full, negative = row_maxima(pool)
     assert full.tobytes() == _ordered_pair_row_maxima(pool, lambda i, j: True).tobytes()
     assert negative.tobytes() == _ordered_pair_row_maxima(pool, lambda i, j: i < j).tobytes()
 
@@ -363,10 +398,9 @@ class TestRowMaximaCache:
         "equal": np.full(50, 1.2),
     }
 
-    @pytest.mark.parametrize("negative_first", [False, True])
     @pytest.mark.parametrize("sigma", sorted(SIGMAS))
-    def test_bit_identical_to_ordered_pair_loop(self, sigma, negative_first):
-        _check_cache_against_ordered_pairs(self.SIGMAS[sigma], negative_first)
+    def test_bit_identical_to_ordered_pair_loop(self, sigma):
+        _check_cache_against_ordered_pairs(self.SIGMAS[sigma])
 
     @pytest.mark.parametrize("sigma", sorted(SIGMAS))
     def test_computed_once_per_pool(self, sigma):
@@ -388,9 +422,8 @@ class TestRowMaximaCache:
         with pytest.raises(ValueError):
             row_maxima(pool)
 
-    @pytest.mark.parametrize("negative_first", [False, True])
     @pytest.mark.parametrize("sigma", sorted(SIGMAS))
-    def test_one_fill_serves_both_vectors(self, monkeypatch, sigma, negative_first):
+    def test_one_fill_serves_both_vectors(self, monkeypatch, sigma):
         calls = []
         over_row_spans = mcquantile._over_row_spans
 
@@ -400,9 +433,8 @@ class TestRowMaximaCache:
 
         monkeypatch.setattr(mcquantile, "_over_row_spans", counted)
         pool = make_mc_pool(self.SIGMAS[sigma][:6], 1_000, seed=3)
-        accessors = [lambda pool: row_maxima(pool)[0], lambda pool: row_maxima(pool)[1]]
-        for accessor in accessors[::-1] if negative_first else accessors:
-            accessor(pool)
+        row_maxima(pool)
+        row_maxima(pool)
         assert calls == [1_000]
 
 
@@ -411,10 +443,9 @@ class TestRowSpans:
 
     SIGMAS = TestRowMaximaCache.SIGMAS
 
-    @pytest.mark.parametrize("negative_first", [False, True])
     @pytest.mark.parametrize("sigma", sorted(SIGMAS))
-    def test_cached_maxima(self, row_spans, sigma, negative_first):
-        _check_cache_against_ordered_pairs(self.SIGMAS[sigma], negative_first)
+    def test_cached_maxima(self, row_spans, sigma):
+        _check_cache_against_ordered_pairs(self.SIGMAS[sigma])
 
     @pytest.mark.parametrize("sigma", sorted(SIGMAS))
     def test_pair_row_maxima(self, row_spans, sigma):
