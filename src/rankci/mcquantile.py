@@ -12,11 +12,18 @@ restricted quantile (:func:`rows_reaching`).  Nothing in it depends on a
 sample, so a shared pool carries no state from one sample to the next.
 
 The pool is one column-major buffer, so every pairwise operation reads two
-contiguous columns.  The row-maxima kernels split the pool rows into
-contiguous spans, one per usable core, and run each span in its own thread
-(numpy releases the GIL inside its loops).  Every row still takes its max
-over the same pairs in the same order, so no result depends on the number of
-cores.
+contiguous columns.  It is float32 when every sigma lies in
+``[_F32_SIGMA_MIN, _F32_SIGMA_MAX]``, float32's analogue of the core range,
+and float64 otherwise.  The draws come from the same float64
+``standard_normal`` stream either way, and each scaled value is rounded once,
+when it is stored.  Every kernel computes in the pool's dtype, its pair
+scales rounded to it once, so its row maxima are bit for bit an ordered-pair
+loop in that dtype; a float32 pool halves the bytes each kernel moves.
+
+The row-maxima kernels split the pool rows into contiguous spans, one per
+usable core, and run each span in its own thread (numpy releases the GIL
+inside its loops).  Every row still takes its max over the same pairs in the
+same order, so no result depends on the number of cores.
 """
 
 import contextlib
@@ -46,6 +53,11 @@ MC_SAMPLES_FLOOR = 1_000
 #: Fewest pool rows a row-maxima thread is given; smaller pools run in one span.
 _MIN_SPAN_ROWS = 25_000
 
+#: Sigmas in [_F32_SIGMA_MIN, _F32_SIGMA_MAX] get a float32 pool: as in the
+#: core range, a square and a sum of two squares are then normal float32s.
+_F32_SIGMA_MIN = float(np.sqrt(np.finfo(np.float32).tiny))
+_F32_SIGMA_MAX = float(np.sqrt(np.finfo(np.float32).max / 2))
+
 #: Largest share of the pool's rows :func:`rows_reaching` copies; past it
 #: (typically at alpha = 0.5, which keeps half the rows or more) the copy's
 #: memory and gather cost more than the smaller restricted rounds save.
@@ -62,7 +74,10 @@ class McPool:
 
     The draws are stored once: ``_cols`` is the C-contiguous n x N buffer,
     one row per center, and ``draws`` is its transpose, a view.  Both are
-    read-only.  Pools compare and hash by identity.
+    read-only.  Their dtype, float32 or float64, is the pool's (see the
+    module docstring): each value is ``sigma[i]`` times a float64 standard
+    normal, rounded once to it.  Every row maximum is in the same dtype.
+    Pools compare and hash by identity.
 
     ``_memo`` holds what depends on the pool alone, filled through
     :func:`_memoized`: under ``"row_maxima"`` the full-range and negative-pair
@@ -145,7 +160,10 @@ def make_mc_pool(sigma, n_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0) -> M
 
     Deterministic for fixed ``(sigma, n_samples, seed)``; the generator is
     PCG64 via ``numpy.random.default_rng``, so pools reproduce bit-for-bit
-    across platforms.
+    across platforms.  The pool is float32 when every sigma lies in
+    ``[_F32_SIGMA_MIN, _F32_SIGMA_MAX]``, else float64; either way each value
+    is the float64 product of sigma and one draw of the same stream, rounded
+    once to the pool's dtype when it is stored.
 
     Raises
     ------
@@ -158,10 +176,13 @@ def make_mc_pool(sigma, n_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0) -> M
     n_samples = int(n_samples)
     if n_samples < MC_SAMPLES_FLOOR:
         raise ValueError(f"n_samples={n_samples} is below the floor of {MC_SAMPLES_FLOOR}")
-    _check_fits_memory(n_samples * sigma.size * 8,
+    in_f32 = sigma.min() >= _F32_SIGMA_MIN and sigma.max() <= _F32_SIGMA_MAX
+    dtype = np.dtype(np.float32 if in_f32 else np.float64)
+    _check_fits_memory(n_samples * sigma.size * dtype.itemsize,
                        f"a Monte-Carlo pool of {n_samples} x {sigma.size} draws", "--mc-samples")
-    # each chunk of one (n_samples, n) draw is scaled and stored transposed
-    cols = np.empty((sigma.size, n_samples))
+    # each chunk of one (n_samples, n) draw is scaled in float64, then stored
+    # transposed and rounded to the pool's dtype
+    cols = np.empty((sigma.size, n_samples), dtype=dtype)
     step = _draw_chunk_rows(sigma.size)
     chunks = _normal_row_chunks(seed, n_samples, sigma.size, step)
     for start, rows in zip(range(0, n_samples, step), chunks):
@@ -174,6 +195,12 @@ def empirical_quantile(values: np.ndarray, alpha: float, _below: int = 0) -> flo
 
     This convention never falls below the conventional empirical quantile,
     and it is deterministic, which keeps the monotonicity arguments exact.
+
+    ``values`` are row maxima in the pool's dtype, and the result is one of
+    them, widened exactly to a Python float.  The observed statistic it is
+    compared with stays float64.  So on a float32 pool a decision can differ
+    from a float64 pool's only where a statistic lies within float32
+    rounding of the quantile, a few units in its last float32 place.
 
     ``_below`` counts values left out of ``values`` because they lie strictly
     below the result: N is ``values.size + _below``, and the statistic is the
@@ -259,14 +286,17 @@ def _over_row_spans(n_rows: int, kernel) -> None:
 def _standardized_diffs(pool: McPool, i_idx, j_idx, start: int, stop: int):
     """Yield ``(Y_i - Y_j) / sqrt(sigma_i^2 + sigma_j^2)`` on pool rows start:stop, pair by pair.
 
-    Every value is written into the same buffer.  Indices and scales are
-    looped over as Python numbers, which is cheaper per pair on small pools.
+    Every value is written into the same buffer, in the pool's dtype.  Each
+    scale is rounded to that dtype once, so a Python float holds it exactly
+    and every division rounds in the pool's dtype, whatever numpy's scalar
+    promotion rules.  Indices and scales are looped over as Python numbers,
+    which is cheaper per pair on small pools.
     """
     i_idx, j_idx = np.asarray(i_idx, dtype=int), np.asarray(j_idx, dtype=int)
     sig2 = pool.sigma ** 2
-    scales = np.sqrt(sig2[i_idx] + sig2[j_idx])
+    scales = np.sqrt(sig2[i_idx] + sig2[j_idx]).astype(pool._cols.dtype)
     cols = list(pool._cols[:, start:stop])
-    diff = np.empty(stop - start)
+    diff = np.empty(stop - start, dtype=pool._cols.dtype)
     for i, j, scale in zip(i_idx.tolist(), j_idx.tolist(), scales.tolist()):
         np.subtract(cols[i], cols[j], out=diff)
         diff /= scale
@@ -274,8 +304,8 @@ def _standardized_diffs(pool: McPool, i_idx, j_idx, start: int, stop: int):
 
 
 def pair_row_maxima(pool: McPool, i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
-    """Per-row max of (Y_i - Y_j) / sqrt(sigma_i^2 + sigma_j^2) over given pairs."""
-    out = np.empty(pool.n_samples)
+    """Per-row max of (Y_i - Y_j) / sqrt(sigma_i^2 + sigma_j^2) over given pairs, in the pool's dtype."""
+    out = np.empty(pool.n_samples, dtype=pool._cols.dtype)
 
     def kernel(start, stop):
         row_max = out[start:stop]
@@ -316,20 +346,23 @@ def _fill_row_maxima(pool: McPool) -> tuple[np.ndarray, np.ndarray]:
     min is the maximum over the negative pairs (i < j), and the larger of the
     two is the maximum of ``|d_ij|`` over all ordered pairs, bit for bit what
     a loop over ordered pairs gives.
+
+    Both vectors are in the pool's dtype, and so is every value on the way:
+    the scale is rounded to it once, so no division rounds through float64.
     """
     if pool.n_centers < 2:
         raise ValueError("need at least 2 centers to form a pair")
     cols = pool._cols
     sigma = pool.sigma
-    full, negative = np.empty(pool.n_samples), np.empty(pool.n_samples)
+    full, negative = (np.empty(pool.n_samples, dtype=cols.dtype) for _ in range(2))
     if np.all(sigma == sigma[0]):
-        scale = np.sqrt(sigma[0] ** 2 + sigma[0] ** 2)
+        scale = cols.dtype.type(np.sqrt(sigma[0] ** 2 + sigma[0] ** 2))
 
         def kernel(start, stop):
             span, upper, lower = cols[:, start:stop], full[start:stop], negative[start:stop]
             lower.fill(-np.inf)
             prefix = span[0].copy()
-            diff = np.empty(stop - start)
+            diff = np.empty(stop - start, dtype=cols.dtype)
             for row in span[1:]:
                 np.maximum(lower, np.subtract(prefix, row, out=diff), out=lower)
                 np.maximum(prefix, row, out=prefix)

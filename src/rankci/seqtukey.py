@@ -19,8 +19,9 @@ keeps ``base`` unless its maximum may lie in R: ``max_R >= base`` while the
 negatives stay below ``base`` (``>=``, because a maximum attained in R equals
 ``base``).  Only those stale rows are recomputed over B, gathered, and maxed
 with the negatives.  A maximum is exact and every pair value comes from the
-same elementwise formula, so the derived maxima are bit for bit the direct
-ones.  When |R| >= |B| the maxima over B are computed directly instead.
+same elementwise formula, in the pool's dtype with the same rounded scale,
+so the derived maxima are bit for bit the direct ones.  When |R| >= |B| the
+maxima over B are computed directly instead.
 
 The rounds need only the pool rows that can reach their quantiles.  Every
 round keeps all negative pairs, so its quantile at alpha is at least

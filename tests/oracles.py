@@ -17,3 +17,20 @@ def restricted_max_quantile(pool, pairs, alpha):
     """
     i_idx, j_idx = np.nonzero(pairs)
     return empirical_quantile(pair_row_maxima(pool, i_idx, j_idx), alpha)
+
+
+def ordered_pair_row_maxima(pool, keep):
+    """Row maxima of (Y_i - Y_j) / sqrt(sigma_i^2 + sigma_j^2), one ordered pair at a time.
+
+    ``keep(i, j)`` says whether the ordered pair counts.  Every value is
+    computed in the pool's dtype, each scale rounded to it once.
+    """
+    cols = pool.draws.T
+    scalar = cols.dtype.type
+    sig2 = pool.sigma ** 2
+    out = np.full(pool.n_samples, -np.inf, dtype=cols.dtype)
+    for i in range(pool.n_centers):
+        for j in range(pool.n_centers):
+            if i != j and keep(i, j):
+                out = np.maximum(out, (cols[i] - cols[j]) / scalar(np.sqrt(sig2[i] + sig2[j])))
+    return out

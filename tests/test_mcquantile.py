@@ -17,7 +17,7 @@ from rankci.mcquantile import (
     row_maxima,
     studentized_range_quantile,
 )
-from oracles import restricted_max_quantile
+from oracles import ordered_pair_row_maxima, restricted_max_quantile
 
 
 def all_pairs(n):
@@ -88,13 +88,19 @@ class TestMakeMcPool:
 
     def test_draws_bytes_pinned(self):
         # the row-major bytes of the pool: PCG64 stream order, per-column
-        # scale, and a row count that fills no whole number of chunks
+        # scale, a row count that fills no whole number of chunks, and one
+        # rounding to float32 of the float64 products, whose bytes are pinned too
         rows = mcquantile._draw_chunk_rows(7)
         assert 20_001 % rows and 20_001 > rows
         sigma = np.random.default_rng(8).uniform(0.5, 1.5, 7)
         pool = make_mc_pool(sigma, 20_001, seed=29)
+        assert pool.draws.dtype == np.float32
         assert hashlib.sha256(pool.draws.tobytes()).hexdigest() == (
+            "a2ecba28d6d63acba32f6946eda12b39ea3a06f86d4bee7356dc69bd3380cf69")
+        products = np.random.default_rng(29).standard_normal((20_001, 7)) * sigma
+        assert hashlib.sha256(products.tobytes()).hexdigest() == (
             "85937b838e9cfe2d89e5dab42569af517131c4ba9f1ddadae9a73b076d147c6d")
+        assert np.array_equal(pool.draws, products.astype(np.float32))
 
     def test_wide_pool_is_one_draw_in_smaller_chunks(self):
         # above n = 128 the chunks hold fewer than 4096 rows; here 2621, so
@@ -104,7 +110,8 @@ class TestMakeMcPool:
         sigma = np.random.default_rng(9).uniform(0.5, 1.5, n)
         pool = make_mc_pool(sigma, rows, seed=30)
         expected = np.random.default_rng(30).standard_normal((rows, n)) * sigma
-        assert np.array_equal(pool.draws, expected)
+        assert pool.draws.dtype == np.float32
+        assert np.array_equal(pool.draws, expected.astype(np.float32))
 
     def test_one_read_only_buffer(self):
         pool = make_mc_pool([1.0, 2.0, 0.5], 5_000, seed=1)
@@ -133,6 +140,41 @@ class TestMakeMcPool:
         monkeypatch.setattr(mcquantile.np.random, "default_rng", no_allocation)
         with pytest.raises(ValueError, match="--mc-samples"):
             make_mc_pool([1.0, 1.0], 10**13, seed=0)
+
+    def test_memory_check_counts_the_pools_item_size(self, monkeypatch):
+        # 1000 x 3 draws take 12,000 bytes in float32 and 24,000 in float64
+        memory = {"SC_PHYS_PAGES": 18_000, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(mcquantile.os, "sysconf", memory.__getitem__, raising=False)
+        assert make_mc_pool([1.0, 2.0, 0.5], 1000, seed=0).draws.nbytes == 12_000
+        with pytest.raises(ValueError, match="--mc-samples"):
+            make_mc_pool([1e-30, 2.0, 0.5], 1000, seed=0)
+
+
+F32_MIN, F32_MAX = mcquantile._F32_SIGMA_MIN, mcquantile._F32_SIGMA_MAX
+
+
+class TestPoolDtype:
+    """A pool is float32 when every sigma lies in float32's range, and its kernels return its dtype."""
+
+    @pytest.mark.parametrize("sigma, dtype", [
+        ([F32_MIN, 1.0, 2.0], np.float32),
+        ([np.nextafter(F32_MIN, 0), 1.0, 2.0], np.float64),
+        ([1.0, 2.0, F32_MAX], np.float32),
+        ([1.0, np.nextafter(F32_MAX, np.inf), 2.0], np.float64),
+        ([F32_MIN, F32_MAX, 1.0], np.float32),
+        ([F32_MIN] * 3, np.float32),
+        ([np.nextafter(F32_MIN, 0)] * 3, np.float64),
+        ([F32_MAX] * 3, np.float32),
+        ([np.nextafter(F32_MAX, np.inf)] * 3, np.float64),
+    ], ids=["min-in", "min-out", "max-in", "max-out", "both-in",
+            "equal-min-in", "equal-min-out", "equal-max-in", "equal-max-out"])
+    def test_sigma_edges_give_the_dtype_and_finite_maxima(self, sigma, dtype):
+        # RuntimeWarnings are errors in this suite, so no overflow or 0/0 either
+        pool = make_mc_pool(sigma, 1000, seed=0)
+        assert pool.draws.dtype == dtype
+        assert np.isfinite(studentized_range_quantile(pool, 0.05))
+        for values in (*row_maxima(pool), pair_row_maxima(pool, [0, 2], [1, 0])):
+            assert values.dtype == dtype and np.isfinite(values).all()
 
 
 class TestNormalRowChunks:
@@ -373,23 +415,12 @@ def row_spans(request, monkeypatch):
         assert len(bounds) >= 3 and len({stop - start for start, stop in bounds}) > 1
 
 
-def _ordered_pair_row_maxima(pool, keep):
-    """Row maxima of (Y_i - Y_j) / sqrt(sigma_i^2 + sigma_j^2), one ordered pair at a time."""
-    cols = pool.draws.T
-    sig2 = pool.sigma ** 2
-    out = np.full(pool.n_samples, -np.inf)
-    for i in range(pool.n_centers):
-        for j in range(pool.n_centers):
-            if i != j and keep(i, j):
-                out = np.maximum(out, (cols[i] - cols[j]) / np.sqrt(sig2[i] + sig2[j]))
-    return out
-
-
 def _check_cache_against_ordered_pairs(sigma):
     pool = make_mc_pool(sigma, 2_000, seed=17)
     full, negative = row_maxima(pool)
-    assert full.tobytes() == _ordered_pair_row_maxima(pool, lambda i, j: True).tobytes()
-    assert negative.tobytes() == _ordered_pair_row_maxima(pool, lambda i, j: i < j).tobytes()
+    assert full.dtype == negative.dtype == pool.draws.dtype == np.float32
+    assert full.tobytes() == ordered_pair_row_maxima(pool, lambda i, j: True).tobytes()
+    assert negative.tobytes() == ordered_pair_row_maxima(pool, lambda i, j: i < j).tobytes()
 
 
 class TestRowMaximaCache:
@@ -453,7 +484,7 @@ class TestRowSpans:
         rng = np.random.default_rng(5)
         chosen = {(i, j) for i in range(50) for j in range(50) if i != j and rng.random() < 0.3}
         i_idx, j_idx = (np.array(v) for v in zip(*sorted(chosen)))
-        expected = _ordered_pair_row_maxima(pool, lambda i, j: (i, j) in chosen)
+        expected = ordered_pair_row_maxima(pool, lambda i, j: (i, j) in chosen)
         assert pair_row_maxima(pool, i_idx, j_idx).tobytes() == expected.tobytes()
 
     def test_small_pool_runs_in_one_span(self):

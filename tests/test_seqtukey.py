@@ -8,10 +8,11 @@ import pytest
 from rankci import mcquantile
 from rankci.core import CenterSample, rank_bounds_from_rejections
 from rankci.mcquantile import McPool, make_mc_pool, pair_row_maxima
+from rankci import seqtukey
 from rankci.seqtukey import sequential_tukey
 from rankci.simharness import preset_scenario, run_coverage
 from rankci.tukey import tukey_rank_cis, tukey_rejected_pairs
-from oracles import restricted_max_quantile
+from oracles import ordered_pair_row_maxima, restricted_max_quantile
 
 
 def mask(n, pairs):
@@ -276,6 +277,42 @@ class TestSharedPoolCallOrder:
         last_active = np.tril(~first.final_rejected, -1)
         active = np.tril(~second.steps[0].rejected_total, -1)
         assert np.any(active & ~last_active)
+
+
+class TestFloat32Rounds:
+    """On a float32 pool each derived round's maxima are the direct ones and a float32 pair loop.
+
+    The loop rounds each scale to float32 once.  A kernel that divided by a
+    float64 scale would round differently, and derived rounds test
+    ``max_R >= base`` exactly, so a stale row would be missed.
+    """
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5])
+    @pytest.mark.parametrize("sigma", [np.full(24, 0.8),
+                                       np.random.default_rng(6).uniform(0.5, 1.5, 24)],
+                             ids=["equal", "unequal"])
+    def test_derived_row_maxima_equal_the_ordered_pair_loop(self, sigma, alpha, monkeypatch):
+        rounds = []
+        row_maxima_from = seqtukey._row_maxima_from
+
+        def recording(pool, base, negative, dropped, active):
+            row_max = row_maxima_from(pool, base, negative, dropped, active)
+            rounds.append((pool, active, row_max))
+            return row_max
+
+        monkeypatch.setattr(seqtukey, "_row_maxima_from", recording)
+        rng = np.random.default_rng(4)
+        sample = CenterSample.from_observations(np.arange(24) * 0.4 + sigma * rng.standard_normal(24),
+                                                sigma)
+        pool = make_mc_pool(sample.sigma, 4_000, seed=11)
+        assert pool.draws.dtype == np.float32
+        _, trace = sequential_tukey(sample, alpha, pool)
+        assert trace.iterations >= 3 and len(rounds) == trace.iterations - 1
+        for rows, active, row_max in rounds:
+            direct = pair_row_maxima(rows, *np.nonzero(active | positive_mask(24).T))
+            expected = ordered_pair_row_maxima(rows, lambda i, j: i < j or active[i, j])
+            assert row_max.dtype == np.float32
+            assert row_max.tobytes() == direct.tobytes() == expected.tobytes()
 
 
 class TestPoolMemo:
