@@ -10,7 +10,6 @@ rankability measure and a coverage-simulation harness round out the toolkit.
 from .bootstrap import (
     BootstrapConfig,
     ZhangResult,
-    make_bootstrap_draws,
     spiegelhalter_pointwise,
     zhang_simultaneous,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "SimultaneousRankCIs",
     "ZhangResult",
     "comparison_scenario",
-    "make_bootstrap_draws",
     "make_mc_pool",
     "preset_scenario",
     "rank_bounds_from_rejections",

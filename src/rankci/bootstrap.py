@@ -6,7 +6,10 @@ parametric bootstrap replicates; the joint method then searches, by bisection
 on the pointwise level beta, for the narrowest family whose *estimated*
 joint coverage still clears 1 - alpha.  Deliberately, the same K draws are
 used both to build the intervals and to estimate their joint coverage; the
-method is reproduced faithfully, not repaired.
+method is reproduced faithfully, not repaired.  Both methods take a
+:class:`BootstrapConfig` and rank its replicates through one route,
+:meth:`RankCounts.draw`, so on one config the joint family is the pointwise
+family at its final level.
 
 The joint method never reads the Monte-Carlo pool, so it runs beside the
 pool work: ``rank`` runs it in a thread of its own beside the pool fill and
@@ -31,8 +34,8 @@ import numpy as np
 from .core import CenterSample, RankInterval, SimultaneousRankCIs, _whole_number
 from .mcquantile import _check_fits_memory, _normal_row_chunks
 
-__all__ = ["BootstrapConfig", "RankCounts", "ZhangResult", "make_bootstrap_draws",
-           "spiegelhalter_pointwise", "zhang_simultaneous"]
+__all__ = ["BootstrapConfig", "RankCounts", "ZhangResult", "spiegelhalter_pointwise",
+           "zhang_simultaneous"]
 
 #: Values of a K x n array (draws, sort orders or cells) handled at a time:
 #: 4096 rows at n = 10.
@@ -83,12 +86,6 @@ def _type3_index(size: int, p: float) -> int:
     return min(max(j + gamma, 1), size)
 
 
-def make_bootstrap_draws(sample: CenterSample, cfg: BootstrapConfig) -> np.ndarray:
-    """K x n parametric bootstrap matrix, row k drawn from N(y, sigma^2)."""
-    rng = np.random.default_rng(cfg.seed)
-    return rng.standard_normal((cfg.n_boot, sample.n)) * sample.sigma[None, :] + sample.y[None, :]
-
-
 def _chunk_rows(n: int) -> int:
     """Rows of a K x n chunk: the value budget, but at least n rows.
 
@@ -96,12 +93,6 @@ def _chunk_rows(n: int) -> int:
     dearer than the chunk itself.
     """
     return max(_CHUNK_VALUES // n, n)
-
-
-def _row_chunks(a: np.ndarray):
-    """Consecutive row views of the K x n array ``a``, :func:`_chunk_rows` rows each."""
-    step = _chunk_rows(a.shape[1])
-    return (a[start:start + step] for start in range(0, len(a), step))
 
 
 def _check_bootstraps_fit(n: int, n_boot: int, copies: int = 1) -> None:
@@ -122,7 +113,7 @@ def _check_bootstraps_fit(n: int, n_boot: int, copies: int = 1) -> None:
 
 
 def _draw_chunks(sample: CenterSample, cfg: BootstrapConfig):
-    """Rows of :func:`make_bootstrap_draws`: chunks of one draw, scaled then shifted in place."""
+    """K x n replicates, row k from N(y, sigma^2): chunks of one draw, scaled, shifted in place."""
     for rows in _normal_row_chunks(cfg.seed, cfg.n_boot, sample.n, _chunk_rows(sample.n)):
         rows *= sample.sigma
         rows += sample.y
@@ -156,15 +147,17 @@ def _sort_orders(chunks, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _cells(orders: np.ndarray):
     """Yield the table cells of K x n sort orders (:func:`_sort_orders`) a row chunk at a time.
 
-    Each chunk's cells are laid out positions x rows, C-contiguous, as
-    :meth:`RankCounts._of_cells` reads them, in one buffer that the next
-    chunk overwrites.  Cells reach n * n - 1, past what the orders' own
-    type holds, so they are computed in ``intp``.
+    Each chunk of :func:`_chunk_rows` rows has its cells laid out positions
+    x rows, C-contiguous, as :meth:`RankCounts._of_cells` reads them, in one
+    buffer that the next chunk overwrites.  Cells reach n * n - 1, past what
+    the orders' own type holds, so they are computed in ``intp``.
     """
-    n = orders.shape[1]
+    k, n = orders.shape
+    step = _chunk_rows(n)
     offsets = np.arange(0, n * n, n)[:, None]
-    buffer = np.empty(min(_chunk_rows(n), len(orders)) * n, dtype=np.intp)
-    for chunk in _row_chunks(orders):
+    buffer = np.empty(min(step, k) * n, dtype=np.intp)
+    for start in range(0, k, step):
+        chunk = orders[start:start + step]
         cells = buffer[:chunk.size].reshape(n, len(chunk))
         np.add(chunk.T, offsets, dtype=np.intp, out=cells)
         yield cells
@@ -186,15 +179,10 @@ class RankCounts:
 
     @classmethod
     def draw(cls, sample: CenterSample, cfg: BootstrapConfig) -> "RankCounts":
-        """The counts of the replicates :func:`zhang_simultaneous` draws for ``(sample, cfg)``."""
+        """The counts of the replicates both methods draw for ``(sample, cfg)``, via sort orders."""
         _check_bootstraps_fit(sample.n, cfg.n_boot)
-        return cls._of_orders(_draw_chunks(sample, cfg), cfg.n_boot, sample.n)
-
-    @classmethod
-    def _of_orders(cls, chunks, k: int, n: int) -> "RankCounts":
-        """The counts of K x n draws given as row chunks, read back from their sort orders."""
-        orders, counts = _sort_orders(chunks, k, n)
-        return cls._of_cells(counts, k, _cells(orders))
+        orders, counts = _sort_orders(_draw_chunks(sample, cfg), cfg.n_boot, sample.n)
+        return cls._of_cells(counts, cfg.n_boot, _cells(orders))
 
     @classmethod
     def _of_cells(cls, counts: np.ndarray, k: int, cell_chunks) -> "RankCounts":
@@ -236,23 +224,19 @@ class RankCounts:
 
 
 def spiegelhalter_pointwise(sample: CenterSample, beta: float,
-                            boot_draws: np.ndarray) -> list[RankInterval]:
-    """Pointwise rank CIs at level ``1 - beta`` from bootstrap replicates.
+                            cfg: BootstrapConfig) -> list[RankInterval]:
+    """Pointwise rank CIs at level ``1 - beta`` from the replicates ``cfg`` draws.
 
-    Each replicate (row of ``boot_draws``) is ranked; center i's interval is
-    the type-3 [beta/2, 1-beta/2] quantile range of its rank.  Pointwise means
-    valid one center at a time; the family has no joint guarantee.
+    Each replicate of :meth:`RankCounts.draw` is ranked; center i's interval
+    is the type-3 [beta/2, 1-beta/2] quantile range of its rank.  Pointwise
+    means valid one center at a time; the family has no joint guarantee.
     """
     if not 0 < beta < 1:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
-    boot_draws = np.asarray(boot_draws, dtype=float)
-    if boot_draws.ndim != 2 or boot_draws.shape[1] != sample.n:
-        raise ValueError("boot_draws must be a K x n matrix matching the sample")
-    if len(boot_draws) * (beta / 2.0) < 1.5:
-        warnings.warn(f"n_boot={len(boot_draws)} is too small to resolve beta={beta:g}; "
+    if cfg.n_boot * (beta / 2.0) < 1.5:
+        warnings.warn(f"n_boot={cfg.n_boot} is too small to resolve beta={beta:g}; "
                       "quantile indices collapse to the extremes", stacklevel=2)
-    ranked = RankCounts._of_orders(_row_chunks(boot_draws), len(boot_draws), sample.n)
-    return list(ranked.intervals(beta))
+    return list(RankCounts.draw(sample, cfg).intervals(beta))
 
 
 def zhang_simultaneous(sample: CenterSample, alpha: float, cfg: BootstrapConfig,

@@ -2,11 +2,12 @@
 
 Input files are delimited text (comma or tab, autodetected) with header
 columns ``id``, ``estimate``, ``std_error``; extra columns are ignored, and a
-header that looks semicolon-delimited is refused as such.  Each rule on a
-value has one owner outside this module: every std_error must lie in
-:mod:`rankci.core`'s ``[SIGMA_MIN, SIGMA_MAX]``, where sigma^2 and a sum of
-two are normal floats, and a scenario file's keys go straight to
-:class:`~rankci.simharness.ScenarioConfig` and
+header that looks semicolon-delimited is refused as such.  A quoted id may
+hold a comma but not a tab, LF or CR, which would split a row of the TSV or
+plot-data output.  Each rule on a value has one owner outside this module:
+every std_error must lie in :mod:`rankci.core`'s ``[SIGMA_MIN, SIGMA_MAX]``,
+where sigma^2 and a sum of two are normal floats, and a scenario file's keys
+go straight to :class:`~rankci.simharness.ScenarioConfig` and
 :class:`~rankci.bootstrap.BootstrapConfig`, which refuse what the file may not
 hold; a key neither knows is refused here.  Their errors reach the user
 naming the row or the scenario file.
@@ -87,13 +88,14 @@ class RunManifest:
 def ingest_estimates(path: str) -> CenterSample:
     """Read and validate an estimates file into a sorted CenterSample.
 
-    Cells follow CSV quoting, so a quoted id may hold the delimiter.  Raises
+    Cells follow CSV quoting, so a quoted id may hold a comma.  Raises
     :class:`IngestError` naming the path for a file that cannot be read or
     decoded as UTF-8 and for a required column missing from the header or
     named twice or a header that looks semicolon-delimited, and naming the
     offending data row for a non-numeric or non-finite cell, a standard
-    error outside :mod:`rankci.core`'s ``[SIGMA_MIN, SIGMA_MAX]``, a
-    duplicate id and a non-empty cell past the header's columns.
+    error outside :mod:`rankci.core`'s ``[SIGMA_MIN, SIGMA_MAX]``, an id
+    holding a tab, LF or CR, a duplicate id and a non-empty cell past the
+    header's columns.
     """
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
@@ -127,6 +129,8 @@ def ingest_estimates(path: str) -> CenterSample:
             raise IngestError(f"{path}: row {row_no}: expected {len(header)} columns, "
                               f"got {len(cells)}")
         ident = cells[positions["id"]]
+        if any(ch in ident for ch in "\t\n\r"):
+            raise IngestError(f"{path}: row {row_no}: id {ident!r} holds a tab or line break")
         try:
             est, se = float(cells[positions["estimate"]]), float(cells[positions["std_error"]])
             _as_float_vector([est], "estimate")

@@ -5,6 +5,16 @@ import numpy as np
 from rankci.mcquantile import empirical_quantile, pair_row_maxima
 
 
+def make_bootstrap_draws(sample, cfg):
+    """K x n parametric bootstrap matrix, row k drawn from N(y, sigma^2), in one draw.
+
+    The direct route that ``RankCounts.draw``'s row chunks of the same
+    stream are checked against, value for value.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    return rng.standard_normal((cfg.n_boot, sample.n)) * sample.sigma[None, :] + sample.y[None, :]
+
+
 def restricted_max_quantile(pool, pairs, alpha):
     """Empirical (1-alpha)-quantile of the maximum over a restricted pair set.
 

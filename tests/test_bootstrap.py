@@ -10,11 +10,11 @@ from rankci.bootstrap import (
     BootstrapConfig,
     RankCounts,
     _type3_index,
-    make_bootstrap_draws,
     spiegelhalter_pointwise,
     zhang_simultaneous,
 )
 from rankci.core import CenterSample
+from oracles import make_bootstrap_draws
 
 WELL_SEPARATED = (1.512, 1.764, 1.853, 3.020, 3.154, 4.895, 5.419, 7.468, 10.521, 13.054)
 NEAR_TIED = (0.017, 0.020, 0.023, 0.029, 0.036, 0.039, 0.048, 0.077, 0.086, 0.089)
@@ -43,7 +43,9 @@ def rank_counts_of(ranks):
     k, n = ranks.shape
     cells = (ranks - 1) * n + np.arange(n, dtype=np.int32)
     counts = np.bincount(cells.ravel(), minlength=n * n).reshape(n, n)
-    return RankCounts._of_cells(counts, k, (chunk.T for chunk in bootstrap._row_chunks(cells)))
+    step = bootstrap._chunk_rows(n)
+    return RankCounts._of_cells(counts, k, (cells[start:start + step].T
+                                            for start in range(0, k, step)))
 
 
 def assert_same_counts(got, expected):
@@ -278,14 +280,13 @@ class TestChunkedRanks:
         rng = np.random.default_rng(seed)
         s = CenterSample.from_observations(rng.normal(size=n), rng.uniform(0.5, 1.5, n))
         cfg = BootstrapConfig(n_boot=k, seed=seed)
-        draws = make_bootstrap_draws(s, cfg)
-        expected = rank_counts_of(rank_rows(draws))
+        expected = rank_counts_of(rank_rows(make_bootstrap_draws(s, cfg)))
         # chunks of chunk_rows rows, but never fewer than the n-row floor
         old_budget, bootstrap._CHUNK_VALUES = bootstrap._CHUNK_VALUES, chunk_rows * n
         try:
             assert_same_counts(RankCounts.draw(s, cfg), expected)
-            # the pointwise method counts a given draw by the same route
-            assert spiegelhalter_pointwise(s, beta, draws) == list(expected.intervals(beta))
+            # the pointwise method ranks the same draw by the same route
+            assert spiegelhalter_pointwise(s, beta, cfg) == list(expected.intervals(beta))
         finally:
             bootstrap._CHUNK_VALUES = old_budget
 
@@ -304,7 +305,7 @@ class TestChunkedRanks:
         assert orders.dtype == (np.uint8 if n == 256 else np.uint16)
         expected = rank_counts_of(rank_rows(draws))
         assert_same_counts(RankCounts.draw(s, cfg), expected)
-        assert spiegelhalter_pointwise(s, 0.2, draws) == list(expected.intervals(0.2))
+        assert spiegelhalter_pointwise(s, 0.2, cfg) == list(expected.intervals(0.2))
 
     @pytest.mark.filterwarnings("ignore:observed estimates contain exact ties")
     @pytest.mark.parametrize("y", [[0.25], [0.25] * 7, [0.5, 0.25, 0.75] * 6],
@@ -321,10 +322,11 @@ class TestChunkedRanks:
         # tied centers rank by their position in the sorted sample
         assert [(c.lower, c.upper) for c in counts.intervals(0.05)] == [(i, i) for i in
                                                                          range(1, n + 1)]
-        # the same route ranks unsorted tied replicates by position too
+        # the draw's sort orders and cells rank unsorted tied replicates by position too
         tied = np.tile(np.resize([0.5, 0.25, 0.75], n), (50, 1))
-        assert spiegelhalter_pointwise(s, 0.5, tied) \
-            == list(rank_counts_of(rank_rows(tied)).intervals(0.5))
+        orders, tied_counts = bootstrap._sort_orders([tied], 50, n)
+        assert_same_counts(RankCounts._of_cells(tied_counts, 50, bootstrap._cells(orders)),
+                           rank_counts_of(rank_rows(tied)))
 
     def test_chunk_size_leaves_the_joint_result_unchanged(self, monkeypatch):
         s = CenterSample.from_observations(NEAR_TIED, [1.0] * 10)
@@ -338,42 +340,61 @@ class TestChunkedRanks:
 class TestSpiegelhalterPointwise:
     def test_single_center(self):
         s = CenterSample.from_observations([5.0], [1.0])
-        draws = make_bootstrap_draws(s, BootstrapConfig(n_boot=1000, seed=0))
-        cis = spiegelhalter_pointwise(s, 0.05, draws)
+        cis = spiegelhalter_pointwise(s, 0.05, BootstrapConfig(n_boot=1000, seed=0))
         assert [(c.lower, c.upper) for c in cis] == [(1, 1)]
 
     def test_far_separated_centers_pin_ranks(self):
         # rank flip probability ~ Phi(-100/sqrt(2)) ~ 0
         s = CenterSample.from_observations([0.0, 100.0], [1.0, 1.0])
-        draws = make_bootstrap_draws(s, BootstrapConfig(n_boot=10_000, seed=1))
-        cis = spiegelhalter_pointwise(s, 0.05, draws)
+        cis = spiegelhalter_pointwise(s, 0.05, BootstrapConfig(n_boot=10_000, seed=1))
         assert [(c.lower, c.upper) for c in cis] == [(1, 1), (2, 2)]
 
     def test_near_tie_spans_both_ranks_at_half_level(self):
         # flip probability ~ 0.497, so the 0.25/0.75 rank quantiles straddle
         s = CenterSample.from_observations([0.0, 0.01], [1.0, 1.0])
-        draws = make_bootstrap_draws(s, BootstrapConfig(n_boot=10_000, seed=2))
-        cis = spiegelhalter_pointwise(s, 0.5, draws)
+        cis = spiegelhalter_pointwise(s, 0.5, BootstrapConfig(n_boot=10_000, seed=2))
         assert [(c.lower, c.upper) for c in cis] == [(1, 2), (1, 2)]
 
     def test_beta_domain(self):
         s = CenterSample.from_observations([0.0, 1.0], [1.0, 1.0])
-        draws = make_bootstrap_draws(s, BootstrapConfig(n_boot=1000, seed=0))
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
-                spiegelhalter_pointwise(s, bad, draws)
+                spiegelhalter_pointwise(s, bad, BootstrapConfig(n_boot=1000, seed=0))
 
     def test_small_pool_warns_but_proceeds(self):
         s = CenterSample.from_observations([0.0, 1.0], [1.0, 1.0])
-        draws = make_bootstrap_draws(s, BootstrapConfig(n_boot=100, seed=0))
         with pytest.warns(UserWarning, match="too small"):
-            cis = spiegelhalter_pointwise(s, 0.001, draws)
+            cis = spiegelhalter_pointwise(s, 0.001, BootstrapConfig(n_boot=100, seed=0))
         assert len(cis) == 2
 
-    def test_shape_mismatch(self):
-        s = CenterSample.from_observations([0.0, 1.0], [1.0, 1.0])
-        with pytest.raises(ValueError):
-            spiegelhalter_pointwise(s, 0.05, np.zeros((10, 3)))
+    @pytest.mark.filterwarnings("ignore:n_boot=.* is too small")
+    @pytest.mark.parametrize("beta", [0.01, 0.05, 0.5])
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 50, 257])
+    def test_equals_the_counts_of_the_whole_matrix(self, n, beta):
+        # the counts of the whole K x n draw of the same stream, read at beta;
+        # the draw's orders are uint16 from n = 257
+        rng = np.random.default_rng(n)
+        s = CenterSample.from_observations(0.1 * rng.normal(size=n), rng.uniform(0.5, 1.5, n))
+        cfg = BootstrapConfig(n_boot=1500, seed=n)
+        expected = rank_counts_of(rank_rows(make_bootstrap_draws(s, cfg)))
+        assert spiegelhalter_pointwise(s, beta, cfg) == list(expected.intervals(beta))
+
+    @pytest.mark.filterwarnings("ignore:n_boot=.* is too small")
+    @pytest.mark.parametrize("maxiter", [3, 50])
+    @pytest.mark.parametrize("alpha", [0.05, 0.2])
+    @pytest.mark.parametrize("n", [1, 2, 10, 50])
+    def test_zhang_family_is_the_pointwise_family_at_its_final_beta(self, n, alpha, maxiter):
+        s = CenterSample.from_observations(0.3 * np.arange(n), np.ones(n))
+        cfg = BootstrapConfig(n_boot=2000, maxiter=maxiter, seed=n)
+        res = zhang_simultaneous(s, alpha, cfg)
+        # three halvings leave no feasible level above 0 at n = 50, which the
+        # pointwise method refuses
+        assert (res.beta_final == 0.0) == (n == 50 and maxiter == 3)
+        if res.beta_final == 0.0:
+            with pytest.raises(ValueError, match="beta must be in"):
+                spiegelhalter_pointwise(s, res.beta_final, cfg)
+        else:
+            assert res.cis.intervals == tuple(spiegelhalter_pointwise(s, res.beta_final, cfg))
 
 
 class TestZhangSimultaneous:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rankci import bootstrap
-from rankci.bootstrap import BootstrapConfig, zhang_simultaneous
+from rankci.bootstrap import BootstrapConfig, spiegelhalter_pointwise, zhang_simultaneous
 from rankci.cli import IngestError, _run_methods, ingest_estimates, main
 from rankci.core import KNOWN_METHODS, CenterSample
 from rankci.mcquantile import make_mc_pool, studentized_range_quantile
@@ -100,6 +100,20 @@ class TestIngest:
         assert rc == 0
         centers = json.loads(out_file.read_text())["centers"]
         assert [c["id"] for c in centers] == ["x, inc", "y"]
+
+    @pytest.mark.parametrize("output", ["--out-file", "--plot-data"])
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r"], ids=["tab", "lf", "cr"])
+    def test_id_with_tab_or_line_break_refused(self, tmp_path, capsys, char, output):
+        # quoted, such an id would reach the TSV or plot-data output and split its row
+        ident, path = f"x{char}inc", tmp_path / "broken.csv"
+        path.write_text(f'id,estimate,std_error\ny,1.0,0.5\n"{ident}",2.0,0.5\n', newline="")
+        out = tmp_path / "out.tsv"
+        flags = ["--out", "tsv", output, str(out)] if output == "--out-file" else [output, str(out)]
+        assert main(["rank", "--input", str(path), "--method", "tukey", "--mc-samples", "2000",
+                     *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"error: {path}: row 2: id {ident!r} holds a tab or line break\n"
 
     def test_not_utf8_names_path(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"
@@ -559,6 +573,12 @@ class TestBootstrapBesidePool:
         with pytest.raises(ValueError, match="--boot-samples"):
             _run_methods(sample, ("zhang",), 0.05, 1000, 10**13, seed=0)
         assert threading.active_count() == threads_before
+        # the pointwise method draws through the same guard: 1 MiB of physical
+        # memory cannot hold 100,000 replicates of 3 centers
+        sysconf, fake = os.sysconf, {"SC_PHYS_PAGES": 2**20, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or sysconf(name))
+        with pytest.raises(ValueError, match="--boot-samples"):
+            spiegelhalter_pointwise(sample, 0.05, BootstrapConfig(n_boot=100_000))
 
     @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="physical memory unknown")
     def test_simulate_checks_that_two_bootstraps_fit(self, estimates_file, tmp_path, monkeypatch,

@@ -274,10 +274,12 @@ def test_round_critical_values_are_restricted_quantiles(instance, alpha, kept_sh
         assert q == restricted_max_quantile(pool, remaining | positives.T, alpha)
 
 
-# id text: the delimiters, quotes, line breaks, a semicolon and non-ASCII letters;
-# ingest strips each cell, so an id neither starts nor ends with whitespace
+# cell text: the delimiters, quotes, line breaks, a semicolon and non-ASCII letters
 CELL_TEXT = st.text(st.sampled_from(list("ab ,\t\"'\n\r;äß漢é")), max_size=6)
-IDS = CELL_TEXT.filter(lambda text: text == text.strip())
+# ingest refuses an id holding a tab or line break, and strips each cell, so
+# an id neither starts nor ends with whitespace
+IDS = st.text(st.sampled_from(list("ab ,\"';äß漢é")), max_size=6).filter(
+    lambda text: text == text.strip())
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -343,8 +345,8 @@ BAD_SIGMAS = st.one_of(
 
 
 @PROPERTY
-@given(estimate_tables(min_rows=2), st.sampled_from(["std_error", "duplicate id", "past header"]),
-       st.data())
+@given(estimate_tables(min_rows=2),
+       st.sampled_from(["std_error", "duplicate id", "broken id", "past header"]), st.data())
 def test_ingest_one_corrupt_cell_is_one_error_line(table, corruption, data):
     ids, _, _, header, rows = table
     row = data.draw(st.integers(1, len(rows) - 1))
@@ -352,6 +354,8 @@ def test_ingest_one_corrupt_cell_is_one_error_line(table, corruption, data):
         rows[row][header.index("std_error")] = data.draw(BAD_SIGMAS)
     elif corruption == "duplicate id":
         rows[row][header.index("id")] = ids[data.draw(st.integers(0, row - 1))]
+    elif corruption == "broken id":
+        rows[row][header.index("id")] = "x" + data.draw(st.sampled_from("\t\n\r")) + "y"
     else:
         rows[row].append("x" + data.draw(CELL_TEXT))
     out, err = io.StringIO(), io.StringIO()
